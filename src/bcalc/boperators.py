@@ -73,9 +73,8 @@ def _pneg(p):
 
 
 def _pmul(p, q):
-    if not p or not q:
-        return ()
-    out = [_CR0] * (len(p) + len(q) - 1)
+    """Product of two coefficient lists (ascending) of either scalar type."""
+    out = [p[0] - p[0]] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         for j, b in enumerate(q):
             out[i + j] = out[i + j] + a * b
@@ -170,7 +169,9 @@ def _squarefree_roots(factor):
     Degree-one factors are solved exactly.  Otherwise companion-matrix
     eigenvalues are computed and each is replaced by a small-denominator
     rational exactly verified against the polynomial; unverifiable roots stay
-    numeric (marked inexact).
+    numeric (marked inexact).  A candidate is only tried when it is closer to
+    its eigenvalue than half the distance to the nearest other eigenvalue,
+    so it cannot be a neighbouring root of the same factor.
     """
     deg = _pdeg(factor)
     if deg == 1:
@@ -182,18 +183,13 @@ def _squarefree_roots(factor):
     else:
         numeric = np.roots([c.as_complex() for c in reversed(factor)])
     out = []
-    for r in numeric:
-        exact = None
+    for i, r in enumerate(numeric):
+        radius = min(abs(r - s) for j, s in enumerate(numeric) if j != i) / 2
         for md in _VERIFY_DENOMS:
-            cand = ComplexRational(
-                Fraction(float(r.real)).limit_denominator(md),
-                Fraction(float(r.imag)).limit_denominator(md),
-            )
-            if not _peval(factor, cand):
-                exact = cand
+            cand = ComplexRational.from_complex(r, md)
+            if abs(cand.as_complex() - r) < radius and not _peval(factor, cand):
+                out.append((cand, True))
                 break
-        if exact is not None:
-            out.append((exact, True))
         else:
             out.append((complex(r), False))
     return out
@@ -287,21 +283,13 @@ class BDiffOp:
         return acc
 
     def to_jsonable(self) -> dict:
-        def enc(c: ComplexRational):
-            if c.is_real:
-                return str(c.re)
-            return {"re": str(c.re), "im": str(c.im)}
-
-        return {"coeffs": [[enc(c) for c in s] for s in self.coeffs], "trunc": self.trunc}
+        # a real coefficient is written as a bare "p/q" string
+        coeffs = [[str(c) if c.is_real else c.to_jsonable() for c in s] for s in self.coeffs]
+        return {"coeffs": coeffs, "trunc": self.trunc}
 
     @classmethod
     def from_jsonable(cls, data: dict) -> "BDiffOp":
-        def dec(c):
-            if isinstance(c, dict):
-                return ComplexRational(as_fraction(c["re"]), as_fraction(c.get("im", 0)))
-            return ComplexRational.of(c)
-
-        series = [[dec(c) for c in s] for s in data["coeffs"]]
+        series = [[ComplexRational.from_jsonable(c) for c in s] for s in data["coeffs"]]
         return cls.from_lists(series, data.get("trunc"))
 
 
@@ -425,12 +413,7 @@ class ModelKernel:
     def to_jsonable(self) -> dict:
         return {
             "terms": [
-                {
-                    "z": {"re": str(t.z.re), "im": str(t.z.im)},
-                    "p": t.p,
-                    "side": t.side,
-                    "coeff": {"re": str(t.coeff.re), "im": str(t.coeff.im)},
-                }
+                {"z": t.z.to_jsonable(), "p": t.p, "side": t.side, "coeff": t.coeff.to_jsonable()}
                 for t in self.terms
             ]
         }
@@ -439,10 +422,10 @@ class ModelKernel:
     def from_jsonable(cls, data: dict) -> "ModelKernel":
         terms = tuple(
             KernelTerm(
-                ComplexRational(as_fraction(t["z"]["re"]), as_fraction(t["z"]["im"])),
+                ComplexRational.from_jsonable(t["z"]),
                 int(t["p"]),
                 t["side"],
-                ComplexRational(as_fraction(t["coeff"]["re"]), as_fraction(t["coeff"]["im"])),
+                ComplexRational.from_jsonable(t["coeff"]),
             )
             for t in data["terms"]
         )
@@ -450,29 +433,29 @@ class ModelKernel:
 
 
 def _series_inverse(b, n):
-    """First n coefficients of 1 / sum b_i w^i (b[0] != 0), exact."""
-    inv0 = _CR1 / b[0]
-    out = [inv0]
+    """First n coefficients of 1 / sum b_i w^i (b[0] != 0)."""
+    zero = b[0] - b[0]
+    out = [1 / b[0]]
     for k in range(1, n):
-        s = _CR0
+        s = zero
         for i in range(1, k + 1):
-            bi = b[i] if i < len(b) else _CR0
-            s = s + bi * out[k - i]
-        out.append(-s * inv0)
+            s = s + b[i] * out[k - i]
+        out.append(-s / b[0])
     return out
 
 
 def _taylor_at(poly, z0, nterms):
     """Coefficients of poly(z0 + w) up to w^(nterms-1), by synthetic division."""
+    zero = z0 - z0
     out = []
     cur = _ptrim(poly)
     for _ in range(nterms):
         if not cur:
-            out.append(_CR0)
+            out.append(zero)
             continue
         # divide cur by (z - z0): quotient by Horner, remainder = cur(z0)
-        quot = [_CR0] * max(0, len(cur) - 1)
-        acc = _CR0
+        quot = [zero] * max(0, len(cur) - 1)
+        acc = zero
         for i in range(len(cur) - 1, 0, -1):
             acc = cur[i] + acc * z0
             quot[i - 1] = acc
@@ -481,58 +464,28 @@ def _taylor_at(poly, z0, nterms):
     return out
 
 
-def _partial_fraction_block(poly, root: Root, all_roots, lc):
+def _partial_fraction_block(root: Root, all_roots, lc):
     """Coefficients A_j, j = 1..k, of 1/poly = sum_j A_j / (z - z0)^j + ...
 
     Computed from the series inverse of the deflated polynomial at the root.
-    Exact whenever every root is exact; with inexact roots the same algebra
-    runs in complex floats and the results are rationalized for storage.
+    ``_pmul``, ``_taylor_at`` and ``_series_inverse`` run on either scalar
+    type: the algebra is exact when every root is exact; otherwise it runs on
+    the complex values of the roots and the results are rationalized for
+    storage.
     """
+    exact = all(r.exact for r in all_roots)
+    scalar = (lambda c: c) if exact else ComplexRational.as_complex
     k = root.multiplicity
-    if all(r.exact for r in all_roots):
-        deflated = (lc,)
-        for other in all_roots:
-            if other is root:
-                continue
-            lin = (-other.value, _CR1)
-            for _ in range(other.multiplicity):
-                deflated = _pmul(deflated, lin)
-        b = _taylor_at(deflated, root.value, k)
-        c = _series_inverse(b, k)
-        return [c[k - j] for j in range(1, k + 1)]
-
-    # same steps in complex floats: deflated polynomial, shift to the root,
-    # invert the series, rationalize
-    z0 = root.value.as_complex()
-    deflated = [lc.as_complex()]
+    deflated = (scalar(lc),)
     for other in all_roots:
         if other is root:
             continue
-        zr = other.value.as_complex()
+        lin = (-scalar(other.value), 1)
         for _ in range(other.multiplicity):
-            out = [0j] * (len(deflated) + 1)
-            for i, a in enumerate(deflated):
-                out[i] += -zr * a
-                out[i + 1] += a
-            deflated = out
-    b = []
-    cur = list(deflated)
-    for _ in range(k):
-        if not cur:
-            b.append(0j)
-            continue
-        quot = [0j] * max(0, len(cur) - 1)
-        acc = 0j
-        for i in range(len(cur) - 1, 0, -1):
-            acc = cur[i] + acc * z0
-            quot[i - 1] = acc
-        b.append(cur[0] + acc * z0)
-        cur = quot
-    c = [1.0 / b[0]]
-    for m in range(1, k):
-        s = sum(b[i] * c[m - i] for i in range(1, m + 1) if i < len(b))
-        c.append(-s / b[0])
-    return [ComplexRational.from_complex(c[k - j]) for j in range(1, k + 1)]
+            deflated = _pmul(deflated, lin)
+    # A_j is the coefficient of w^(k-j) in 1/deflated(z0 + w)
+    blocks = _series_inverse(_taylor_at(deflated, scalar(root.value), k), k)[::-1]
+    return blocks if exact else [ComplexRational.from_complex(a) for a in blocks]
 
 
 def model_inverse(ind: IndicialData, gamma) -> ModelKernel:
@@ -551,7 +504,7 @@ def model_inverse(ind: IndicialData, gamma) -> ModelKernel:
     lc = ind.polynomial[-1]
     terms = []
     for root in ind.roots:
-        blocks = _partial_fraction_block(ind.polynomial, root, ind.roots, lc)
+        blocks = _partial_fraction_block(root, ind.roots, lc)
         for j, a_j in enumerate(blocks, start=1):
             if not a_j:
                 continue
@@ -594,6 +547,8 @@ def apply_check(op: BDiffOp, kernel: ModelKernel, v: Callable[[float], float],
     if not op.has_constant_coefficients:
         raise ValueError("apply_check expects a constant-coefficient operator")
     a, b = support
+    if not 0 < a < b < math.inf:
+        raise ValueError(f"support must satisfy 0 < a < b < inf, got ({a}, {b})")
     if x_grid is None:
         lo, hi = a / 2.0, b * 2.0
         n = int(math.ceil(math.log(hi / lo) / 0.003)) + 1

@@ -15,6 +15,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+
+from .errors import SchemaError
 from .rationals import ComplexRational, as_fraction
 
 # The exponent z in x^z log^p x.
@@ -57,7 +59,13 @@ class IndexEntry:
         return (self.z.re, self.z.im, self.p)
 
     def to_jsonable(self) -> dict:
-        return {"re": str(self.z.re), "im": str(self.z.im), "p": self.p}
+        return {**self.z.to_jsonable(), "p": self.p}
+
+    @classmethod
+    def from_jsonable(cls, data: dict) -> "IndexEntry":
+        if not isinstance(data, dict):
+            raise SchemaError(f"an index entry must be an object, got {data!r}")
+        return cls(ComplexRational.from_jsonable(data), data["p"])
 
     @classmethod
     def of(cls, value) -> "IndexEntry":
@@ -179,17 +187,6 @@ class IndexSet:
         ]
         return IndexSet(_reduce(gens))
 
-    def negate(self):
-        """Negated generators as a raw, sorted entry list.
-
-        The negation of a completed index set is not completed, so no
-        IndexSet is returned; this is only used for boundary-spectrum
-        comparisons.
-        """
-        return tuple(
-            sorted((IndexEntry(-g.z, g.p) for g in self.generators), key=IndexEntry.sort_key)
-        )
-
     def truncate(self, bound):
         """All members with Re z <= bound, sorted by (Re z, Im z, p)."""
         limit = as_fraction(bound)
@@ -212,10 +209,10 @@ class IndexSet:
 
     @classmethod
     def from_jsonable(cls, data: dict) -> "IndexSet":
-        return cls.from_entries(
-            (Exponent(as_fraction(g["re"]), as_fraction(g.get("im", 0))), g["p"])
-            for g in data["generators"]
-        )
+        generators = data["generators"]
+        if not isinstance(generators, list):
+            raise SchemaError(f"'generators' must be a list, got {generators!r}")
+        return cls.from_entries(IndexEntry.from_jsonable(g) for g in generators)
 
     def __str__(self) -> str:
         if self.is_empty:

@@ -447,12 +447,6 @@ def solve_model_ode(c, v: Callable[[float], float], x_grid,
     return out * x_grid ** (-cf)
 
 
-def _kernel_eval(kernel, s: float) -> float:
-    if callable(kernel):
-        return kernel(s)
-    return kernel.evaluate(s)
-
-
 def _kernel_support(kernel):
     """(lo, hi) support of the kernel in the ratio variable s."""
     if isinstance(kernel, tuple):
@@ -510,7 +504,7 @@ def convolve_model_kernels(k1, k2, s_grid, spec: QuadratureSpec = DEFAULT_QUAD,
             continue
 
         def integrand(t, s=s):
-            return _kernel_eval(k1, s / t) * _kernel_eval(k2, t) / t
+            return k1.evaluate(s / t) * k2.evaluate(t) / t
 
         breakpoints = [p for p in (s, 1.0) if lo < p < hi]
         if lo == 0.0:
@@ -557,7 +551,7 @@ def apply_bop_numeric(op, values, x_grid):
     """Apply sum_j a_j(x) (x d/dx)^j by stencils on a geometric grid.
 
     x d/dx is d/d(log x), so the stencil is translation invariant on the
-    grid.  Returns (trimmed grid, result); 2*order points are lost per side.
+    grid.  Returns (trimmed grid, result); 3*order points are lost per side.
     Warns when the log spacing is too coarse for the stencil order.
     """
     x_grid = np.asarray(x_grid, dtype=float)

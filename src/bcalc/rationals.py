@@ -3,11 +3,17 @@
 All exponents and exact coefficients in the package are Gaussian rationals:
 pairs of ``fractions.Fraction``.  Equality is decidable, arithmetic is exact,
 and the total output order used everywhere is lexicographic in (re, im).
+
+This module is the only place where a float is rounded into a Fraction
+(``as_fraction`` and ``ComplexRational.from_complex``), and the only JSON
+codec for a scalar (``ComplexRational.to_jsonable``/``from_jsonable``).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+
+from .errors import SchemaError
 
 _FLOAT_RATIONALIZE_DEN = 10**12
 
@@ -41,7 +47,7 @@ class ComplexRational:
         if isinstance(value, ComplexRational):
             return value
         if isinstance(value, complex):
-            return cls(as_fraction(value.real), as_fraction(value.imag))
+            return cls.from_complex(value)
         if isinstance(value, tuple) and len(value) == 2:
             return cls(as_fraction(value[0]), as_fraction(value[1]))
         return cls(as_fraction(value))
@@ -52,6 +58,19 @@ class ComplexRational:
             Fraction(float(z.real)).limit_denominator(max_denominator),
             Fraction(float(z.imag)).limit_denominator(max_denominator),
         )
+
+    def to_jsonable(self) -> dict:
+        return {"re": str(self.re), "im": str(self.im)}
+
+    @classmethod
+    def from_jsonable(cls, data) -> "ComplexRational":
+        """Read ``"p/q"``, a number, or ``{"re": ..., "im": ...}`` (``im`` optional)."""
+        try:
+            if isinstance(data, dict):
+                return cls(as_fraction(data["re"]), as_fraction(data.get("im", 0)))
+            return cls(as_fraction(data))
+        except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise SchemaError(f"cannot read {data!r} as an exact scalar") from exc
 
     @property
     def is_real(self) -> bool:
@@ -100,6 +119,9 @@ class ComplexRational:
             (self.re * o.re + self.im * o.im) / den,
             (self.im * o.re - self.re * o.im) / den,
         )
+
+    def __rtruediv__(self, other) -> "ComplexRational":
+        return ComplexRational.of(other) / self
 
     def __str__(self) -> str:
         if self.im == 0:

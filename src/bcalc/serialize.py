@@ -1,8 +1,9 @@
-"""JSON (de)serialization and the file-backed workspace.
+"""JSON schema dispatch for object files.
 
-Every value type carries its own ``to_jsonable``/``from_jsonable``; this
-module adds schema sniffing so CLI arguments can be plain files of any
-supported kind, and a Workspace that loads a directory of named objects.
+Every value type carries its own ``to_jsonable``/``from_jsonable``, and a
+scalar inside one is read by ``ComplexRational.from_jsonable``; this module
+adds schema sniffing so CLI arguments can be plain files of any supported
+kind.
 """
 from __future__ import annotations
 
@@ -13,7 +14,6 @@ from .boperators import BDiffOp, FullCalcDescriptor, ModelKernel
 from .errors import SchemaError
 from .geometry import BMapDescriptor, FaceLattice
 from .indexsets import IndexEntry, IndexFamily, IndexSet
-from .rationals import ComplexRational, as_fraction
 
 
 def parse_object(data):
@@ -44,19 +44,14 @@ def parse_object(data):
 
 
 def _parse_entry_list(items):
+    """Entries as objects ``{"re", "im"?, "p"}`` or lists ``[z, p]``/``[re, im, p]``."""
+    if not isinstance(items, list):
+        raise SchemaError(f"an entry list must be a list, got {items!r}")
     entries = []
     for item in items:
-        if isinstance(item, dict):
-            entries.append(
-                IndexEntry(
-                    ComplexRational(as_fraction(item["re"]), as_fraction(item.get("im", 0))),
-                    int(item["p"]),
-                )
-            )
-        else:
-            z, p = item[0], item[-1]
-            im = item[1] if len(item) == 3 else 0
-            entries.append(IndexEntry(ComplexRational.of(z, im), int(p)))
+        if isinstance(item, list) and len(item) in (2, 3):
+            item = {"re": item[0], "im": item[1] if len(item) == 3 else 0, "p": item[-1]}
+        entries.append(IndexEntry.from_jsonable(item))
     return tuple(entries)
 
 
@@ -76,31 +71,3 @@ def load_typed(path, kind):
             f"{path}: expected {kind.__name__}, found {type(obj).__name__}"
         )
     return obj
-
-
-class Workspace:
-    """Named store of calculus objects loaded from a directory of JSON files.
-
-    File stems are the names; they must be unique (guaranteed within one
-    directory by the filesystem).
-    """
-
-    def __init__(self, objects=None):
-        self.objects = dict(objects or {})
-
-    @classmethod
-    def load_dir(cls, directory) -> "Workspace":
-        directory = Path(directory)
-        objects = {}
-        for path in sorted(directory.glob("*.json")):
-            objects[path.stem] = load_object(path)
-        return cls(objects)
-
-    def __getitem__(self, name: str):
-        try:
-            return self.objects[name]
-        except KeyError:
-            raise KeyError(f"no object named {name!r} in workspace") from None
-
-    def names(self):
-        return tuple(sorted(self.objects))

@@ -85,19 +85,33 @@ class TransportReport:
         }
 
 
-def _column_pushforward(lattice, column: dict, family: IndexFamily):
-    """Half-line push-forward for one exponent column; no integrability check."""
-    contributions = {}
-    total = EMPTY
-    for face in lattice.proper_faces():
-        acc = EMPTY
-        for g in sorted(face):
-            e = column[g]
-            if e > 0:
-                acc = acc.extended_union(family[g].scale_down(e))
-        contributions[face] = acc
-        total = total.union(acc)
-    return total, contributions
+def _push_forward(f: BMapDescriptor, family: IndexFamily, result) -> TransportReport:
+    """Half-line push-forward per target column, plus the integrability audit.
+
+    ``result`` builds the report's result from {target bhs: set}.  A source
+    hypersurface mapped into no target hypersurface is flagged when its index
+    set has inf Re z <= 0.
+    """
+    if set(family.names) != set(f.source.bhs_names):
+        raise BMapError("family is not indexed by the source's boundary hypersurfaces")
+    totals, tables = {}, {}
+    for h in f.target.bhs_names:
+        column = f.column(h)
+        totals[h] = EMPTY
+        tables[h] = {}
+        for face in f.source.proper_faces():
+            acc = EMPTY
+            for g in sorted(face):
+                if column[g] > 0:
+                    acc = acc.extended_union(family[g].scale_down(column[g]))
+            tables[h][face] = acc
+            totals[h] = totals[h].union(acc)
+    violating = tuple(
+        g
+        for g in f.source.bhs_names
+        if all(f.e(g, h) == 0 for h in f.target.bhs_names) and family[g].inf_re() <= 0
+    )
+    return TransportReport(result(totals), not violating, violating, tables)
 
 
 def push_forward_halfline(f: BMapDescriptor, family: IndexFamily) -> TransportReport:
@@ -109,20 +123,7 @@ def push_forward_halfline(f: BMapDescriptor, family: IndexFamily) -> TransportRe
     """
     if len(f.target.bhs_names) != 1:
         raise BMapError("push_forward_halfline needs a half-line target lattice")
-    if set(family.names) != set(f.source.bhs_names):
-        raise BMapError("family is not indexed by the source's boundary hypersurfaces")
-    h = f.target.bhs_names[0]
-    column = f.column(h)
-    total, contributions = _column_pushforward(f.source, column, family)
-    violating = tuple(
-        g for g in f.source.bhs_names if column[g] == 0 and family[g].inf_re() <= 0
-    )
-    return TransportReport(
-        result=total,
-        integrability_ok=not violating,
-        violating_bhs=violating,
-        face_contributions={h: contributions},
-    )
+    return _push_forward(f, family, lambda totals: totals[f.target.bhs_names[0]])
 
 
 def push_forward_family(f: BMapDescriptor, family: IndexFamily) -> TransportReport:
@@ -134,25 +135,7 @@ def push_forward_family(f: BMapDescriptor, family: IndexFamily) -> TransportRepo
             f"codim_ok={report.codim_ok}, violating={list(report.violating_faces)}, "
             f"fibration_on_faces={f.fibration_on_faces}"
         )
-    if set(family.names) != set(f.source.bhs_names):
-        raise BMapError("family is not indexed by the source's boundary hypersurfaces")
-    violating = tuple(
-        g
-        for g in f.source.bhs_names
-        if all(f.e(g, h) == 0 for h in f.target.bhs_names) and family[g].inf_re() <= 0
-    )
-    out = {}
-    tables = {}
-    for h in f.target.bhs_names:
-        total, contributions = _column_pushforward(f.source, f.column(h), family)
-        out[h] = total
-        tables[h] = contributions
-    return TransportReport(
-        result=IndexFamily.of(out, f.target),
-        integrability_ok=not violating,
-        violating_bhs=violating,
-        face_contributions=tables,
-    )
+    return _push_forward(f, family, lambda totals: IndexFamily.of(totals, f.target))
 
 
 def b_density_shift(obj, direction: str):

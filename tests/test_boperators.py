@@ -3,8 +3,11 @@ import json
 import math
 from fractions import Fraction
 
+import hypothesis.strategies as st
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from bcalc import boperators as bop
 from bcalc import numeric as num
@@ -78,6 +81,42 @@ def test_irrational_roots_stay_numeric():
     assert all(not r.exact for r in ind.roots)
     for r in ind.roots:
         assert abs(float(r.value.re) ** 2 - 2.0) < 1e-9
+
+
+def _mul(p, q):
+    out = [CR.of(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] = out[i + j] + a * b
+    return out
+
+
+def _product(roots):
+    """Ascending coefficients of prod (z - r)^m over {r: m}."""
+    poly = [CR.of(1)]
+    for r, m in roots.items():
+        for _ in range(m):
+            poly = _mul(poly, [-r, CR.of(1)])
+    return poly
+
+
+rational_roots = st.dictionaries(
+    st.builds(lambda n, d: CR.of(Fraction(n, d)), st.integers(-12, 12), st.integers(1, 8)),
+    st.integers(1, 3), min_size=1, max_size=5,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@example({CR.of(0): 1, CR.of(Fraction(1, 2)): 1})  # (x d/dx)(x d/dx - 1/2)
+@example({CR.of(0): 2, CR.of(Fraction(1, 2)): 2, CR.of(1): 1})
+@given(rational_roots)
+def test_indicial_recovers_rational_roots_exactly(roots):
+    # a small-denominator guess must not snap a root onto a neighbour of the
+    # same square-free factor, e.g. 1/2 onto 0
+    ind = bop.indicial(op_from(*[[c] for c in _product(roots)]))
+    assert {(r.value, r.multiplicity, r.exact) for r in ind.roots} == {
+        (z, m, True) for z, m in roots.items()
+    }
 
 
 def test_perturbed_double_root_clusters():
@@ -193,6 +232,75 @@ def test_model_kernel_for_irrational_roots():
         assert abs(float(t.coeff.re) + amp) < 1e-12
     report = bop.apply_check(op, kernel, num.smooth_bump(2.0, 1.0), (1.0, 3.0))
     assert report.max_residual < 2e-5
+
+
+def _partial_fractions(kernel):
+    """{(z0, j): A_j} with 1/p(z) = sum A_j / (z - z0)^j, read off the kernel terms."""
+    out = {}
+    for t in kernel.terms:
+        j = t.p + 1
+        a = t.coeff * math.factorial(t.p)
+        if t.side == "rb":
+            out[(-t.z, j)] = a
+        else:
+            out[(t.z, j)] = a if j % 2 == 0 else -a
+    return out
+
+
+exact_roots = st.dictionaries(
+    st.builds(lambda a, b, d: CR.of(Fraction(a, d), Fraction(b, d)),
+              st.integers(-9, 9), st.sampled_from([0, 0, 1, -2]), st.integers(1, 4)),
+    st.integers(1, 3), min_size=1, max_size=4,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(exact_roots, st.integers(-3, 3), st.sampled_from([CR.of(1), CR.of(-2), CR.of(1, 1)]))
+def test_exact_partial_fractions_sum_to_inverse_polynomial(roots, k, lead):
+    poly = [lead * c for c in _product(roots)]
+    ind = bop.indicial(op_from(*[[c] for c in poly]))
+    assert all(r.exact for r in ind.roots)
+    # no root has real part k + 1/1009 (root denominators are at most 4)
+    blocks = _partial_fractions(bop.model_inverse(ind, Fraction(k) + Fraction(1, 1009)))
+    for w in (CR.of(Fraction(1, 1013)), CR.of(Fraction(-7, 11), Fraction(2, 13))):
+        p_w = lead
+        for z, m in roots.items():
+            for _ in range(m):
+                p_w = p_w * (w - z)
+        total = CR.of(0)
+        for (z, j), a in blocks.items():
+            den = CR.of(1)
+            for _ in range(j):
+                den = den * (w - z)
+            total = total + a / den
+        assert total == CR.of(1) / p_w
+
+
+def test_mixed_roots_partial_fractions_match_mpmath_residues():
+    # (z^2 + 4z + 7/2)(z + 4/3)^3: the irrational pair -2 +- sqrt(1/2) sits
+    # 0.04 from a triple rational root, so the complex-float path is taken
+    quad = [CR.of(Fraction(7, 2)), CR.of(4), CR.of(1)]
+    poly = _mul(quad, _product({CR.of(Fraction(-4, 3)): 3}))
+    ind = bop.indicial(op_from(*[[c] for c in poly]))
+    assert not all(r.exact for r in ind.roots)
+    kernel = bop.model_inverse(ind, Fraction(-13, 10))  # weight between the close roots
+    assert {t.side for t in kernel.terms} == {"lb", "rb"}
+    got = _partial_fractions(kernel)
+
+    mpmath.mp.dps = 40
+    r = mpmath.sqrt(mpmath.mpf(1) / 2)
+    z3 = -mpmath.mpf(4) / 3
+    quad_at = lambda z: z * z + 4 * z + mpmath.mpf(7) / 2  # noqa: E731
+    want = {(-2 + r, 1): 1 / (mpmath.diff(quad_at, -2 + r) * (-2 + r - z3) ** 3),
+            (-2 - r, 1): 1 / (mpmath.diff(quad_at, -2 - r) * (-2 - r - z3) ** 3)}
+    taylor = mpmath.taylor(lambda z: 1 / quad_at(z), z3, 2)  # of (z - z3)^3 / p(z)
+    want.update({(z3, j): taylor[3 - j] for j in (1, 2, 3)})
+
+    assert len(got) == len(want)
+    for (z, j), a in got.items():
+        (wz, wa), = [(wz, wa) for (wz, wj), wa in want.items()
+                     if wj == j and abs(complex(wz) - z.as_complex()) < 1e-9]
+        assert abs(a.as_complex() - complex(wa)) <= 1e-9 * abs(complex(wa))
 
 
 def test_model_inverse_rejects_weight_on_root():

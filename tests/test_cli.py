@@ -3,13 +3,11 @@ import subprocess
 import sys
 from fractions import Fraction
 
-import pytest
-
 from bcalc import boperators as bop
 from bcalc import geometry as geo
 from bcalc.cli import main
 from bcalc.indexsets import EMPTY, SMOOTH, IndexFamily, IndexSet
-from bcalc.serialize import Workspace, load_object, parse_object
+from bcalc.serialize import load_object, parse_object
 
 
 def write(tmp_path, name, obj):
@@ -202,6 +200,20 @@ def test_malformed_input_is_exit_1(tmp_path, capsys):
     smooth = write(tmp_path, "smooth.json", SMOOTH)
     assert main(["indexset", "union", smooth]) == 1  # missing second operand
     capsys.readouterr()
+    kernel = {"terms": [{"z": "1/2", "p": 0, "side": "rb", "coeff": {"re": "1"}}]}
+    unreadable = {
+        "not-a-list.json": {"generators": 5},
+        "zero-den.json": {"generators": [{"re": "1/0", "im": "0", "p": 0}]},
+        "kernel.json": kernel,
+        "bad-scalar.json": {"coeffs": [[{"im": "1"}], [[1]]]},
+    }
+    for name, data in unreadable.items():
+        assert main(["indexset", "inf", write(tmp_path, name, data)]) == 1, name
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1, name
+    op = write(tmp_path, "op.json", bop.BDiffOp.from_lists([[1], [1]]))
+    for support in (["0", "1"], ["3", "1"], ["1", "1"], ["1", "inf"]):
+        assert main(["op", "apply-check", op, "--support", *support]) == 1, support
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1, support
 
 
 def test_output_is_deterministic(tmp_path, capsys):
@@ -221,17 +233,6 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["generators"] == [{"re": "0", "im": "0", "p": 0}]
-
-
-def test_workspace_loads_directory(tmp_path):
-    write(tmp_path, "smooth.json", SMOOTH)
-    write(tmp_path, "proj.json", geo.halfline_projection(1))
-    ws = Workspace.load_dir(tmp_path)
-    assert ws.names() == ("proj", "smooth")
-    assert isinstance(ws["smooth"], IndexSet)
-    assert isinstance(ws["proj"], geo.BMapDescriptor)
-    with pytest.raises(KeyError):
-        ws["missing"]
 
 
 def test_load_object_detects_types(tmp_path):

@@ -144,7 +144,7 @@ def test_sum_examples():
     assert (EMPTY + SMOOTH).is_empty
 
 
-# -- shift / scale / negate ------------------------------------------------------
+# -- shift / scale ---------------------------------------------------------------
 
 
 def test_shift_and_scale():
@@ -154,13 +154,6 @@ def test_shift_and_scale():
     scaled = s.scale_down(2)
     assert gens(scaled) == {(Fraction(1, 2), 0, 0), (Fraction(1), 0, 0)}
     assert scaled.contains(Fraction(3, 2), 0)
-
-
-def test_negate_examples():
-    c = Fraction(2, 3)
-    assert [(e.z.re, e.p) for e in S((c, 0)).negate()] == [(-c, 0)]
-    assert EMPTY.negate() == ()
-    assert [(e.z.re, e.p) for e in S((1, 0), (2, 1)).negate()] == [(-2, 1), (-1, 0)]
 
 
 # -- complex exponents ------------------------------------------------------------
