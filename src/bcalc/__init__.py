@@ -47,7 +47,6 @@ from .boperators import (
     FullCalcDescriptor,
     IndicialData,
     ModelKernel,
-    WeightParameter,
     action_index,
     apply_check,
     compose_descriptors,

@@ -30,6 +30,7 @@ from .errors import (
     CompositionUndefined,
     InadmissibleWeight,
     NotBElliptic,
+    SchemaError,
 )
 from .indexsets import EMPTY, IndexEntry, IndexSet
 from .numeric import (
@@ -289,7 +290,10 @@ class BDiffOp:
 
     @classmethod
     def from_jsonable(cls, data: dict) -> "BDiffOp":
-        series = [[ComplexRational.from_jsonable(c) for c in s] for s in data["coeffs"]]
+        coeffs = data["coeffs"]
+        if not isinstance(coeffs, list) or not all(isinstance(s, list) for s in coeffs):
+            raise SchemaError(f"'coeffs' must be a list of coefficient lists, got {coeffs!r}")
+        series = [[ComplexRational.from_jsonable(c) for c in s] for s in coeffs]
         return cls.from_lists(series, data.get("trunc"))
 
 
@@ -319,27 +323,15 @@ def indicial(op: BDiffOp) -> IndicialData:
     return IndicialData(poly, roots, tuple(sorted(entries, key=IndexEntry.sort_key)))
 
 
-@dataclass(frozen=True)
-class WeightParameter:
-    """Real weight selecting a model inverse; must avoid all root real parts."""
-
-    gamma: Fraction
-
-    @classmethod
-    def of(cls, value) -> "WeightParameter":
-        if isinstance(value, WeightParameter):
-            return value
-        return cls(as_fraction(value))
-
-
 _WEIGHT_GAP = 1e-9
 
 
-def _check_admissible(ind: IndicialData, weight: WeightParameter):
+def _check_admissible(ind: IndicialData, gamma: Fraction):
+    """The real weight selecting a model inverse must avoid all root real parts."""
     for r in ind.roots:
-        if abs(float(r.value.re - weight.gamma)) <= _WEIGHT_GAP:
+        if abs(float(r.value.re - gamma)) <= _WEIGHT_GAP:
             raise InadmissibleWeight(
-                f"weight {weight.gamma} is within {_WEIGHT_GAP} of root Re z = {r.value.re}"
+                f"weight {gamma} is within {_WEIGHT_GAP} of root Re z = {r.value.re}"
             )
 
 
@@ -351,12 +343,12 @@ def split_spec(ind: IndicialData, gamma) -> tuple:
     completed.  The orientation reproduces the first-order model: a single
     root at -c with weight above -Re c gives E_lb empty, E_rb = {(c, 0)}.
     """
-    weight = WeightParameter.of(gamma)
-    _check_admissible(ind, weight)
+    gamma = as_fraction(gamma)
+    _check_admissible(ind, gamma)
     lb, rb = [], []
     for r in ind.roots:
         entries = [(r.value, l) for l in range(r.multiplicity)]
-        if r.value.re > weight.gamma:
+        if r.value.re > gamma:
             lb.extend(entries)
         else:
             rb.extend([(-z, l) for z, l in entries])
@@ -497,8 +489,8 @@ def model_inverse(ind: IndicialData, gamma) -> ModelKernel:
     closing the contour the other way).  Reproduces k(s) = s^c H(1-s) for
     the first-order model.
     """
-    weight = WeightParameter.of(gamma)
-    _check_admissible(ind, weight)
+    gamma = as_fraction(gamma)
+    _check_admissible(ind, gamma)
     if _pdeg(ind.polynomial) < 1:
         raise ValueError("indicial polynomial is constant; nothing to invert")
     lc = ind.polynomial[-1]
@@ -509,7 +501,7 @@ def model_inverse(ind: IndicialData, gamma) -> ModelKernel:
             if not a_j:
                 continue
             fact = ComplexRational.of(math.factorial(j - 1))
-            if root.value.re < weight.gamma:
+            if root.value.re < gamma:
                 terms.append(KernelTerm(-root.value, j - 1, "rb", a_j / fact))
             else:
                 sign = _CR1 if (j - 1) % 2 else -_CR1

@@ -2,8 +2,10 @@
 
 Objects live in JSON files (schemas per module); subcommands run the
 calculus operations and print deterministic text or JSON reports.
-Exit codes: 0 success, 1 malformed input, 2 violated theorem hypothesis
-(integrability, b-fibration, composition condition, inadmissible weight).
+Exit codes: 0 success, 1 malformed input (unreadable files or flags, usage
+errors), 2 violated theorem hypothesis (integrability, b-fibration,
+composition condition, inadmissible weight), 3 numeric failure (quadrature,
+conditioning or fit rejection).
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from . import geometry as geo
 from . import numeric as num
 from . import transport
 from . import verify as verify_mod
-from .errors import HypothesisViolation, SchemaError
+from .errors import HypothesisViolation, NumericFailure, SchemaError
 from .indexsets import IndexFamily, IndexSet, complete
 from .serialize import load_typed, load_object
 
@@ -191,10 +193,6 @@ def _cmd_transport(args):
 # -- op ------------------------------------------------------------------------
 
 
-def _gamma(args) -> Fraction:
-    return Fraction(args.gamma)
-
-
 def _cmd_op(args):
     expected = {"specb": 1, "split": 1, "inverse": 1, "apply-check": 1,
                 "compose": 2, "action": 2, "parametrix": 1, "hs": 0}
@@ -214,20 +212,20 @@ def _cmd_op(args):
         return payload, lines, 0
     if args.action == "split":
         op = load_typed(args.files[0], bop.BDiffOp)
-        e_lb, e_rb = bop.split_spec(bop.indicial(op), _gamma(args))
+        e_lb, e_rb = bop.split_spec(bop.indicial(op), args.gamma)
         payload = {"E_lb": e_lb.to_jsonable(), "E_rb": e_rb.to_jsonable()}
         lines = [f"E_lb = {e_lb}", f"E_rb = {e_rb}"]
         return payload, lines, 0
     if args.action == "inverse":
         op = load_typed(args.files[0], bop.BDiffOp)
-        kernel = bop.model_inverse(bop.indicial(op), _gamma(args))
+        kernel = bop.model_inverse(bop.indicial(op), args.gamma)
         lines = ["model kernel terms (s = ratio variable):"]
         for t in kernel.terms:
             lines.append(f"  side={t.side} z={t.z} p={t.p} coeff={t.coeff}")
         return kernel.to_jsonable(), lines, 0
     if args.action == "apply-check":
         op = load_typed(args.files[0], bop.BDiffOp)
-        kernel = bop.model_inverse(bop.indicial(op), _gamma(args))
+        kernel = bop.model_inverse(bop.indicial(op), args.gamma)
         a, b = args.support
         v = num.smooth_bump((a + b) / 2.0, (b - a) / 2.0)
         report = bop.apply_check(
@@ -248,7 +246,7 @@ def _cmd_op(args):
         return _set_report(result, args.truncate) + (0,)
     if args.action == "parametrix":
         op = load_typed(args.files[0], bop.BDiffOp)
-        report = bop.parametrix_indices(op, _gamma(args), args.steps)
+        report = bop.parametrix_indices(op, args.gamma, args.steps)
         lines = [
             f"parametrix: order {report.parametrix.order}, "
             f"E_lb = {report.parametrix.E_lb}, E_rb = {report.parametrix.E_rb}",
@@ -296,13 +294,27 @@ def _cmd_verify(args):
 # -- parser -----------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is malformed input: one stderr line and exit code 1."""
+
+    def error(self, message):
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+
+
 def _add_common_flags(parser, root: bool) -> None:
     # real defaults live on the root parser; subparsers use SUPPRESS so a
     # trailing flag overrides without clobbering a leading one
     def d(value):
         return value if root else argparse.SUPPRESS
 
-    parser.add_argument("--truncate", type=Fraction, default=d(Fraction(10)),
+    parser.add_argument("--truncate", type=_rational, default=d(Fraction(10)),
                         help="Re z bound for printed truncations (default 10)")
     parser.add_argument("--tol", type=float, default=d(1e-8),
                         help="numeric tolerance for checks (default 1e-8)")
@@ -311,7 +323,7 @@ def _add_common_flags(parser, root: bool) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bcalc",
         description="index-set calculus with numeric cross-checks",
     )
@@ -360,7 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
         "specb", "split", "inverse", "apply-check", "compose", "action", "parametrix", "hs",
     ])
     p.add_argument("files", nargs="*")
-    p.add_argument("--gamma", default="0", help="weight parameter (rational)")
+    p.add_argument("--gamma", type=_rational, default=Fraction(0),
+                   help="weight parameter (rational)")
     p.add_argument("--steps", type=int, default=1, help="parametrix iteration count")
     p.add_argument("--support", type=float, nargs=2, default=(1.0, 3.0),
                    help="test-function support for apply-check")
@@ -394,6 +407,9 @@ def main(argv=None) -> int:
     except (SchemaError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except NumericFailure as exc:
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return 3
     _emit(args, payload, lines)
     return code
 

@@ -2,7 +2,8 @@
 
 ``HypothesisViolation`` and its subclasses mark situations where a theorem
 hypothesis fails (the CLI maps them to exit code 2, distinct from malformed
-input, which is exit code 1).
+input, which is exit code 1).  ``NumericFailure`` and its subclasses mark a
+numeric oracle that failed (exit code 3).
 """
 
 
@@ -42,13 +43,17 @@ class SchemaError(ValueError):
     """JSON object does not match any known schema."""
 
 
-class QuadratureError(RuntimeError):
+class NumericFailure(RuntimeError):
+    """A numeric oracle could not produce a trustworthy answer (CLI exit code 3)."""
+
+
+class QuadratureError(NumericFailure):
     """Adaptive quadrature failed to reach the requested tolerance."""
 
 
-class ConditioningError(RuntimeError):
+class ConditioningError(NumericFailure):
     """Fit basis is numerically degenerate."""
 
 
-class FitRejection(RuntimeError):
+class FitRejection(NumericFailure):
     """Fit residual does not decay at the rate the candidate set implies."""

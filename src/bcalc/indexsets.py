@@ -8,6 +8,9 @@ Only a finite, canonical generator set is kept (no generator is implied by
 another), so equality of index sets is equality of generator sets, and every
 "left segment" ``Re z <= N`` is a finite, enumerable list.
 
+Exponents interact only within a residue class ``(Im z, Re z mod 1)``, so
+every operation below works class by class; ``residue_class`` alone decides it.
+
 Exponents are exact complex rationals; all arithmetic here is exact.
 """
 from __future__ import annotations
@@ -23,18 +26,9 @@ from .rationals import ComplexRational, as_fraction
 Exponent = ComplexRational
 
 
-def _as_exponent(value) -> Exponent:
-    return ComplexRational.of(value)
-
-
-def integer_gap(a: Exponent, b: Exponent):
-    """Return the integer k with a = b + k, or None if there is no such k."""
-    if a.im != b.im:
-        return None
-    diff = a.re - b.re
-    if diff.denominator != 1:
-        return None
-    return int(diff)
+def residue_class(z: Exponent):
+    """(Im z, Re z mod 1): equal exactly when two exponents differ by an integer."""
+    return (z.im, z.re - math.floor(z.re))
 
 
 @dataclass(frozen=True)
@@ -47,13 +41,6 @@ class IndexEntry:
     def __post_init__(self):
         if not isinstance(self.p, int) or self.p < 0:
             raise ValueError(f"log power must be a non-negative integer, got {self.p!r}")
-
-    def implies(self, other: "IndexEntry") -> bool:
-        """True if ``other`` lies in the completion of this entry alone."""
-        if other.p > self.p:
-            return False
-        gap = integer_gap(other.z, self.z)
-        return gap is not None and gap >= 0
 
     def sort_key(self):
         return (self.z.re, self.z.im, self.p)
@@ -72,16 +59,18 @@ class IndexEntry:
         if isinstance(value, IndexEntry):
             return value
         z, p = value
-        return cls(_as_exponent(z), int(p))
+        return cls(ComplexRational.of(z), int(p))
 
 
 def _reduce(entries) -> frozenset:
-    """Drop every entry implied by a different entry (canonical generators)."""
-    pool = set(entries)
-    kept = set()
-    for e in pool:
-        if not any(other != e and other.implies(e) for other in pool):
-            kept.add(e)
+    """Canonical generators: sweeping by (Re z, -p), keep an entry only when its
+    p is above the running maximum of its class (else an earlier one implies it)."""
+    top, kept = {}, []
+    for e in sorted(set(entries), key=lambda e: (e.z.re, -e.p)):
+        c = residue_class(e.z)
+        if e.p > top.get(c, -1):
+            top[c] = e.p
+            kept.append(e)
     return frozenset(kept)
 
 
@@ -108,18 +97,15 @@ class IndexSet:
         return not self.generators
 
     def contains(self, z, p: int = 0) -> bool:
-        probe = IndexEntry(_as_exponent(z), p)
-        return any(g.implies(probe) for g in self.generators)
+        best = self.max_log_power(z)
+        return best is not None and best >= p
 
     def max_log_power(self, z):
         """Largest p with (z, p) in the set, or None if z is absent."""
-        zz = _as_exponent(z)
-        best = None
-        for g in self.generators:
-            gap = integer_gap(zz, g.z)
-            if gap is not None and gap >= 0:
-                best = g.p if best is None else max(best, g.p)
-        return best
+        zz = ComplexRational.of(z)
+        c = residue_class(zz)
+        below = (g.p for g in self.generators if residue_class(g.z) == c and g.z.re <= zz.re)
+        return max(below, default=None)
 
     def inf_re(self):
         """min Re z over the set; +inf for the empty set.
@@ -143,19 +129,18 @@ class IndexSet:
 
         The result contains, besides all members of both sets, every
         ``(z, p' + p'' + 1)`` with ``(z, p')`` in one set and ``(z, p'')``
-        in the other.  On generators it suffices to pair generators whose
-        exponents differ by an integer; the shared exponent is the larger
-        one.
+        in the other.  On generators it suffices to pair generators of the
+        same residue class; the shared exponent is the one with larger Re z.
         """
-        cross = set()
-        for gi in self.generators:
-            for gj in other.generators:
-                gap = integer_gap(gi.z, gj.z)
-                if gap is None:
-                    continue
-                z_shared = gi.z if gap >= 0 else gj.z
-                cross.add(IndexEntry(z_shared, gi.p + gj.p + 1))
-        return IndexSet(_reduce(self.generators | other.generators | cross))
+        by_class = {}
+        for g in other.generators:
+            by_class.setdefault(residue_class(g.z), []).append(g)
+        cross = (
+            IndexEntry(max(gi.z, gj.z, key=lambda z: z.re), gi.p + gj.p + 1)
+            for gi in self.generators
+            for gj in by_class.get(residue_class(gi.z), ())
+        )
+        return IndexSet(_reduce(itertools.chain(self.generators, other.generators, cross)))
 
     def sum_with(self, other: "IndexSet") -> "IndexSet":
         """Pointwise sum {(z + w, k + l)}; empty if either factor is empty."""
@@ -169,7 +154,7 @@ class IndexSet:
 
     def shift(self, delta) -> "IndexSet":
         """Translate every exponent by a fixed rational offset."""
-        d = _as_exponent(delta)
+        d = ComplexRational.of(delta)
         return IndexSet(frozenset(IndexEntry(g.z + d, g.p) for g in self.generators))
 
     def scale_down(self, e: int) -> "IndexSet":

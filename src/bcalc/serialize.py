@@ -34,9 +34,8 @@ def parse_object(data):
         return BDiffOp.from_jsonable(data)
     if "E_lb" in data:
         return FullCalcDescriptor.from_jsonable(data)
-    if "terms" in data and data.get("terms") is not None and (
-        not data["terms"] or "side" in data["terms"][0]
-    ):
+    terms = data.get("terms")
+    if isinstance(terms, list) and (not terms or isinstance(terms[0], dict) and "side" in terms[0]):
         return ModelKernel.from_jsonable(data)
     if "entries" in data:
         return _parse_entry_list(data["entries"])

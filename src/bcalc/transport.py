@@ -96,16 +96,15 @@ def _push_forward(f: BMapDescriptor, family: IndexFamily, result) -> TransportRe
         raise BMapError("family is not indexed by the source's boundary hypersurfaces")
     totals, tables = {}, {}
     for h in f.target.bhs_names:
-        column = f.column(h)
-        totals[h] = EMPTY
-        tables[h] = {}
+        scaled = {g: family[g].scale_down(e) for g, e in f.column(h).items() if e > 0}
+        table = tables[h] = {}
+        # faces come by codimension and are subset-closed, so each face
+        # extends the entry of the face without its last hypersurface
         for face in f.source.proper_faces():
-            acc = EMPTY
-            for g in sorted(face):
-                if column[g] > 0:
-                    acc = acc.extended_union(family[g].scale_down(column[g]))
-            tables[h][face] = acc
-            totals[h] = totals[h].union(acc)
+            last = max(face)
+            acc = table.get(face - {last}, EMPTY)
+            table[face] = acc.extended_union(scaled[last]) if last in scaled else acc
+        totals[h] = IndexSet.from_entries(g for s in table.values() for g in s.generators)
     violating = tuple(
         g
         for g in f.source.bhs_names

@@ -6,6 +6,7 @@ from fractions import Fraction
 from bcalc import boperators as bop
 from bcalc import geometry as geo
 from bcalc.cli import main
+from bcalc.errors import ConditioningError, FitRejection, NumericFailure, QuadratureError
 from bcalc.indexsets import EMPTY, SMOOTH, IndexFamily, IndexSet
 from bcalc.serialize import load_object, parse_object
 
@@ -14,6 +15,14 @@ def write(tmp_path, name, obj):
     path = tmp_path / name
     path.write_text(json.dumps(obj.to_jsonable() if hasattr(obj, "to_jsonable") else obj))
     return str(path)
+
+
+def exit_code(argv):
+    """main's return code, or the code of the SystemExit a usage error raises."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 def run(capsys, *argv):
@@ -206,6 +215,8 @@ def test_malformed_input_is_exit_1(tmp_path, capsys):
         "zero-den.json": {"generators": [{"re": "1/0", "im": "0", "p": 0}]},
         "kernel.json": kernel,
         "bad-scalar.json": {"coeffs": [[{"im": "1"}], [[1]]]},
+        "terms-not-a-list.json": {"terms": 5},
+        "coeffs-not-a-list.json": {"coeffs": 5},
     }
     for name, data in unreadable.items():
         assert main(["indexset", "inf", write(tmp_path, name, data)]) == 1, name
@@ -214,6 +225,22 @@ def test_malformed_input_is_exit_1(tmp_path, capsys):
     for support in (["0", "1"], ["3", "1"], ["1", "1"], ["1", "inf"]):
         assert main(["op", "apply-check", op, "--support", *support]) == 1, support
         assert len(capsys.readouterr().err.strip().splitlines()) == 1, support
+    for argv in (["op", "split", op, "--gamma", "1/0"],
+                 ["indexset", "truncate", smooth, "--truncate", "1/0"],
+                 ["indexset", "truncate", smooth, "--truncate", "abc"],
+                 ["--tol", "abc", "indexset", "inf", smooth],
+                 ["indexset", "bogus", smooth]):
+        assert exit_code(argv) == 1, argv
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1, argv
+
+
+def test_numeric_failure_is_exit_3(capsys):
+    for exc in (QuadratureError, ConditioningError, FitRejection):
+        assert issubclass(exc, NumericFailure)
+    assert main(["op", "hs", "--tol", "1e-15"]) == 3  # QuadratureError
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
 
 
 def test_output_is_deterministic(tmp_path, capsys):

@@ -170,9 +170,13 @@ def test_imaginary_parts_separate_chains():
 
 # -- properties ---------------------------------------------------------------------
 
-fracs = st.builds(Fraction, st.integers(-4, 8), st.integers(1, 3))
-entry_specs = st.tuples(fracs, st.integers(0, 3))
-index_sets = st.builds(IndexSet.from_entries, st.lists(entry_specs, max_size=4))
+# Gaussian-rational exponents: few imaginary parts and small denominators, so
+# different residue classes share real parts and negative floors are common.
+fracs = st.builds(Fraction, st.integers(-8, 8), st.integers(1, 3))
+exponents = st.builds(CR, fracs, st.sampled_from((Fraction(0), Fraction(1), Fraction(-1, 2))))
+entry_specs = st.tuples(exponents, st.integers(0, 3))
+raw_entries = st.lists(entry_specs, max_size=4)
+index_sets = st.builds(IndexSet.from_entries, raw_entries)
 
 
 @given(index_sets, index_sets)
@@ -235,6 +239,52 @@ def test_equality_matches_truncation_comparison(e, f):
 def test_json_roundtrip(e):
     data = json.loads(json.dumps(e.to_jsonable()))
     assert IndexSet.from_jsonable(data) == e
+
+
+def members_by_definition(raw, bound):
+    """{(z + k, q) : (z, p) raw, k in N0, q <= p, Re z + k <= bound}."""
+    return {
+        (z + k, q)
+        for z, p in raw
+        for k in range(max(0, math.floor(bound - z.re) + 1))
+        for q in range(p + 1)
+    }
+
+
+def extended_union_by_definition(e, f):
+    """Members of either, plus (z, p' + p'' + 1) with (z, p') in e and (z, p'') in f."""
+    cross = {(z, p + q + 1) for z, p in e for w, q in f if w == z}
+    return e | f | cross
+
+
+def as_pairs(entries):
+    return {(x.z, x.p) for x in entries}
+
+
+BOUND = 3
+
+
+@settings(max_examples=150)
+@given(raw_entries, raw_entries)
+def test_operations_match_membership_by_definition(raw_e, raw_f):
+    e, f = IndexSet.from_entries(raw_e), IndexSet.from_entries(raw_f)
+    me, mf = members_by_definition(raw_e, BOUND), members_by_definition(raw_f, BOUND)
+    assert as_pairs(e.truncate(BOUND)) == me
+    assert as_pairs(e.union(f).truncate(BOUND)) == me | mf
+    assert as_pairs(e.extended_union(f).truncate(BOUND)) == extended_union_by_definition(me, mf)
+    for s in (e, e.union(f), e.extended_union(f)):  # canonical: no generator implies another
+        for g in s.generators:
+            rest = [(h.z, h.p) for h in s.generators if h != g]
+            assert (g.z, g.p) not in members_by_definition(rest, g.z.re), g
+    probes = {z + k for z, _ in raw_e + raw_f for k in (-1, 0, 1, 2)}
+    probes |= {z + CR(Fraction(1, 2)) for z in probes} | {CR(Fraction(0), Fraction(1, 3))}
+    for z in probes:
+        if z.re > BOUND:
+            continue
+        powers = [q for w, q in me if w == z]
+        assert e.max_log_power(z) == max(powers, default=None), z
+        for p in range(5):
+            assert e.contains(z, p) == ((z, p) in me), (z, p)
 
 
 def test_jsonable_is_sorted():

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from bcalc import numeric as num
 from bcalc import transport
 from bcalc.errors import BMapError, NotBFibration
 from bcalc.indexsets import EMPTY, SMOOTH, IndexFamily, IndexSet
+from bcalc.rationals import ComplexRational as CR
 
 
 def S(*entries):
@@ -173,6 +175,34 @@ def test_pushforward_family_global_integrability():
     report = transport.push_forward_family(pi3, fam)
     assert not report.integrability_ok
     assert report.violating_bhs == ("bf3",)
+
+
+def test_pushforward_table_is_the_sorted_fold_per_face():
+    pi3 = geo.lifted_projection(3)
+    rng = random.Random(3)
+
+    def random_set():
+        entries = []
+        for _ in range(rng.randint(0, 3)):
+            z = CR(Fraction(rng.randint(1, 9), rng.choice((1, 2, 3))), Fraction(rng.randint(0, 1)))
+            entries.append((z, rng.randint(0, 2)))
+        return IndexSet.from_entries(entries)
+
+    fam = IndexFamily.of({n: random_set() for n in pi3.source.bhs_names}, pi3.source)
+    report = transport.push_forward_family(pi3, fam)
+    for h in pi3.target.bhs_names:
+        column = pi3.column(h)
+        table = report.face_contributions[h]
+        assert set(table) == set(pi3.source.proper_faces())
+        union = EMPTY
+        for face, got in table.items():
+            fold = EMPTY
+            for g in sorted(face):
+                if column[g] > 0:
+                    fold = fold.extended_union(fam[g].scale_down(column[g]))
+            assert got == fold, (h, sorted(face))
+            union = union | fold
+        assert report.result[h] == union
 
 
 def test_pushforward_functorial_on_permutations():
