@@ -196,12 +196,12 @@ def _squarefree_roots(factor):
     return out
 
 
-def _cluster_numeric(roots, tol=_CLUSTER_TOL):
-    """Greedy clustering of unverified numeric roots within ``tol``."""
+def _cluster_numeric(roots):
+    """Greedy clustering of unverified numeric roots within ``_CLUSTER_TOL``."""
     roots = sorted(roots, key=lambda rm: (rm[0].real, rm[0].imag))
     clusters = []
     for z, mult in roots:
-        if clusters and abs(z - clusters[-1][0][-1]) <= tol:
+        if clusters and abs(z - clusters[-1][0][-1]) <= _CLUSTER_TOL:
             clusters[-1][0].append(z)
             clusters[-1][1].append(mult)
         else:
@@ -373,6 +373,10 @@ class KernelTerm:
     side: str
     coeff: ComplexRational
 
+    def __post_init__(self):
+        if type(self.p) is not int or self.p < 0:
+            raise ValueError(f"log power must be a non-negative integer, got {self.p!r}")
+
     def evaluate(self, s: float) -> complex:
         if self.side == "rb":
             if not 0.0 < s < 1.0:
@@ -415,7 +419,7 @@ class ModelKernel:
         terms = tuple(
             KernelTerm(
                 ComplexRational.from_jsonable(t["z"]),
-                int(t["p"]),
+                t["p"],
                 t["side"],
                 ComplexRational.from_jsonable(t["coeff"]),
             )
@@ -523,29 +527,27 @@ class ApplyCheckReport:
     expected: np.ndarray
 
     def to_jsonable(self):
-        return {"max_residual": float(f"{self.max_residual:.12g}")}
+        return {"max_residual": self.max_residual}
 
 
-def apply_check(op: BDiffOp, kernel: ModelKernel, v: Callable[[float], float],
-                support: tuple, spec: QuadratureSpec = QuadratureSpec(1e-12, 1e-12, 300),
-                x_grid=None) -> ApplyCheckReport:
+def apply_check(op: BDiffOp, kernel: ModelKernel, v: Callable[[float], float], support: tuple,
+                spec: QuadratureSpec = QuadratureSpec(1e-12, 1e-12, 300)) -> ApplyCheckReport:
     """Check numerically that the kernel inverts a constant-coefficient operator.
 
     Computes u = Kv by quadrature (splitting at the kernel jump x' = x),
     applies the operator by log-grid stencils, and reports the maximum
-    deviation from v on the trimmed grid.  The default grid spacing balances
-    stencil truncation against quadrature noise amplified by differentiation.
+    deviation from v on the trimmed grid.  The grid, geometric over
+    [a/2, 2b] with log step about 0.003, balances stencil truncation against
+    quadrature noise amplified by differentiation.
     """
     if not op.has_constant_coefficients:
         raise ValueError("apply_check expects a constant-coefficient operator")
     a, b = support
     if not 0 < a < b < math.inf:
         raise ValueError(f"support must satisfy 0 < a < b < inf, got ({a}, {b})")
-    if x_grid is None:
-        lo, hi = a / 2.0, b * 2.0
-        n = int(math.ceil(math.log(hi / lo) / 0.003)) + 1
-        ratio = (lo / hi) ** (1.0 / (n - 1))
-        x_grid = geometric_grid(hi, ratio, n)
+    lo, hi = a / 2.0, b * 2.0
+    n = int(math.ceil(math.log(hi / lo) / 0.003)) + 1
+    x_grid = geometric_grid(hi, (lo / hi) ** (1.0 / (n - 1)), n)
     u = np.empty_like(x_grid)
     for i, x in enumerate(x_grid):
         u[i] = integrate(
@@ -576,14 +578,18 @@ class FullCalcDescriptor:
     E_lb: IndexSet
     E_rb: IndexSet
 
+    def __post_init__(self):  # a finite order, or -inf for a residual (smoothing) part
+        if type(self.order) not in (int, float) or not -math.inf <= self.order < math.inf:
+            raise ValueError(f"order must be a finite number or -inf, got {self.order!r}")
+        object.__setattr__(self, "order", float(self.order))
+
     def to_jsonable(self) -> dict:
         order = "-inf" if self.order == -math.inf else self.order
         return {"order": order, "E_lb": self.E_lb.to_jsonable(), "E_rb": self.E_rb.to_jsonable()}
 
     @classmethod
     def from_jsonable(cls, data: dict) -> "FullCalcDescriptor":
-        raw = data["order"]
-        order = -math.inf if raw == "-inf" else float(raw)
+        order = -math.inf if data["order"] == "-inf" else data["order"]
         return cls(order, IndexSet.from_jsonable(data["E_lb"]), IndexSet.from_jsonable(data["E_rb"]))
 
 
@@ -702,32 +708,29 @@ class HsReport:
     norms: tuple
 
     def to_jsonable(self):
-        return {
-            "slope": float(f"{self.slope:.12g}"),
-            "reference": float(f"{self.reference:.12g}"),
-            "eps": [float(e) for e in self.eps],
-            "norms": [float(f"{n:.12g}") for n in self.norms],
-        }
+        return {"slope": self.slope, "reference": self.reference,
+                "eps": self.eps, "norms": self.norms}
 
 
-def hs_front_face_criterion(p: Callable[[float, float], float], support_c: float,
-                            eps: float, cutoff: Optional[Callable[[float], float]] = None,
-                            spec: QuadratureSpec = QuadratureSpec(1e-9, 1e-9, 200),
-                            n_eps: int = 4) -> HsReport:
+_HS_LADDER = 4  # lower cutoffs eps, eps/10, ... in the slope regression
+
+
+def hs_front_face_criterion(p: Callable[[float, float], float], support_c: float, eps: float,
+                            spec: QuadratureSpec = QuadratureSpec(1e-9, 1e-9, 200)) -> HsReport:
     """Probe the squared Hilbert-Schmidt norm of phi(x) p(x, s) for divergence.
 
-    p must be supported in x <= C, 1/C <= s <= C.  The cutoff phi defaults to
-    a smooth plateau with phi(0) = 1.  Norms are accumulated over a geometric
-    ladder of lower cutoffs and regressed against log(1/eps).
+    p must be supported in x <= C, 1/C <= s <= C.  The cutoff phi is a smooth
+    plateau with phi(0) = 1.  Norms are accumulated over a geometric ladder of
+    ``_HS_LADDER`` lower cutoffs and regressed against log(1/eps).
     """
-    phi = cutoff if cutoff is not None else plateau_cutoff(support_c / 4.0, support_c / 2.0)
+    phi = plateau_cutoff(support_c / 4.0, support_c / 2.0)
 
     def inner(x):
         return integrate(
             lambda s: (phi(x) * p(x, s)) ** 2 / s, 1.0 / support_c, support_c, spec
         )
 
-    eps_list = [eps * 10.0 ** (-k) for k in range(n_eps)]
+    eps_list = [eps * 10.0 ** (-k) for k in range(_HS_LADDER)]
     norms = []
     total = integrate(lambda x: inner(x) / x, eps_list[0], support_c, spec)
     norms.append(total)

@@ -48,6 +48,8 @@ class FaceLattice:
     markers: tuple = field(default=(), compare=False)
 
     def __post_init__(self):
+        if type(self.dimension) is not int:
+            raise LatticeError(f"dimension must be an integer, got {self.dimension!r}")
         names = set(self.bhs_names)
         if len(names) != len(self.bhs_names):
             raise LatticeError("duplicate boundary hypersurface names")
@@ -55,7 +57,7 @@ class FaceLattice:
             raise LatticeError("the empty face (whole space) must be present")
         for name in self.bhs_names:
             if frozenset({name}) not in self.faces:
-                raise LatticeError(f"singleton {{{name}}} must be a face")
+                raise LatticeError(f"singleton {[name]} must be a face")
         for face in self.faces:
             if not face <= names:
                 raise LatticeError(f"face {sorted(face)} uses unknown bhs names")
@@ -95,7 +97,7 @@ class FaceLattice:
     @classmethod
     def from_jsonable(cls, data: dict) -> "FaceLattice":
         return cls(
-            dimension=int(data["dim"]),
+            dimension=data["dim"],
             bhs_names=tuple(data["bhs"]),
             faces=frozenset(frozenset(f) for f in data["faces"]),
         )
@@ -136,13 +138,15 @@ class BMapDescriptor:
     fibration_on_faces: bool = False
 
     def __post_init__(self):
+        if type(self.fibration_on_faces) is not bool:
+            raise BMapError(f"fibration_on_faces must be a bool, got {self.fibration_on_faces!r}")
         if len(self.exponents) != len(self.source.bhs_names):
             raise BMapError("exponent matrix has wrong number of rows")
         for row in self.exponents:
             if len(row) != len(self.target.bhs_names):
                 raise BMapError("exponent matrix has wrong number of columns")
             for v in row:
-                if not isinstance(v, int) or v < 0:
+                if type(v) is not int or v < 0:
                     raise BMapError(f"exponents must be non-negative integers, got {v!r}")
 
     @classmethod
@@ -179,8 +183,8 @@ class BMapDescriptor:
         return cls(
             source=FaceLattice.from_jsonable(data["source"]),
             target=FaceLattice.from_jsonable(data["target"]),
-            exponents=tuple(tuple(int(v) for v in row) for row in data["e"]),
-            fibration_on_faces=bool(data.get("fibration_faces", False)),
+            exponents=tuple(tuple(row) for row in data["e"]),
+            fibration_on_faces=data.get("fibration_faces", False),
         )
 
 

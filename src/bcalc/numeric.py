@@ -143,7 +143,7 @@ def integrate_to_inf(f, a, spec=DEFAULT_QUAD) -> float:
 # ---------------------------------------------------------------------------
 
 
-def geometric_grid(top: float, ratio: float = 0.8, n: int = 60) -> np.ndarray:
+def geometric_grid(top: float, ratio: float, n: int) -> np.ndarray:
     """x_k = top * ratio^k, k = 0..n-1, ascending."""
     if not 0 < ratio < 1 or top <= 0:
         raise ValueError("need 0 < ratio < 1 and top > 0")
@@ -186,7 +186,6 @@ class SampledFunction2D:
 
     evaluator: Callable[[float, float], float]
     support: float
-    smoothness: str = "smooth in the interior"
 
     def __call__(self, x: float, y: float) -> float:
         return self.evaluator(x, y)
@@ -197,13 +196,6 @@ class Sampled1D:
     x: np.ndarray
     values: np.ndarray
     failed: tuple = ()
-
-    def to_jsonable(self):
-        return {
-            "x": [float(v) for v in self.x],
-            "values": [float(v) for v in self.values],
-            "failed": list(self.failed),
-        }
 
 
 def numeric_pushforward(u: SampledFunction2D, spec: QuadratureSpec, x_grid) -> Sampled1D:
@@ -280,19 +272,6 @@ class PhgExpansion:
     def significant_terms(self, tol: float):
         return tuple((z, p) for z, p, c in self.terms if abs(c) > tol)
 
-    def to_jsonable(self) -> dict:
-        return {
-            "basis": "x^z log^p(1/x)",
-            "terms": [
-                {"z": float(z), "p": int(p), "coeff": float(f"{c:.12g}")}
-                for z, p, c in self.terms
-            ],
-            "residual": float(f"{self.fit_residual:.12g}"),
-            "decay_estimate": None if self.decay_estimate is None
-            else float(f"{self.decay_estimate:.12g}"),
-            "grid": self.grid_meta,
-        }
-
 
 def _candidate_entries(candidate, cutoff):
     if isinstance(candidate, IndexSet):
@@ -315,21 +294,22 @@ def _next_exponent_after(candidate, cutoff):
     return min(beyond) if beyond else float(cutoff) + 1.0
 
 
-def fit_expansion(x, values, candidate, cutoff, *,
-                  cond_guard: float = 1e13,
-                  merge_gap: float = 1e-2,
-                  subgrid: int = 20,
-                  check_decay: bool = True,
-                  decay_floor: float = 1e-7) -> PhgExpansion:
+_COND_GUARD = 1e13  # largest accepted condition number of the column-scaled basis
+_MERGE_GAP = 1e-2  # exponents closer than this at equal log power are merged
+_DECAY_SUBGRID = 20  # smallest-x points whose residual must decay
+_DECAY_FLOOR = 1e-7  # relative residual below which decay is not checked
+
+
+def fit_expansion(x, values, candidate, cutoff) -> PhgExpansion:
     """Least-squares fit of samples against a candidate index-set truncation.
 
     The candidate (an IndexSet, truncated at ``Re z <= cutoff``, or an
     explicit entry list) provides the basis ``x^z log^p(1/x)``.  Exponents
-    closer than ``merge_gap`` at equal log power are merged with a warning
+    closer than ``_MERGE_GAP`` at equal log power are merged with a warning
     (the basis would collapse).  After fitting, the residual on the
-    ``subgrid`` smallest x must decay at least like the first omitted
+    ``_DECAY_SUBGRID`` smallest x must decay at least like the first omitted
     exponent, or the fit is rejected.  Fits whose residual already sits at
-    the numeric floor (below ``decay_floor`` relative to the data scale,
+    the numeric floor (below ``_DECAY_FLOOR`` relative to the data scale,
     where coefficient leakage hides any decay) pass unconditionally.
     """
     x = np.asarray(x, dtype=float)
@@ -341,7 +321,7 @@ def fit_expansion(x, values, candidate, cutoff, *,
     merged = []
     for z, p in pairs:
         zf = float(z)
-        clash = next((m for m in merged if m[1] == p and abs(float(m[0]) - zf) < merge_gap), None)
+        clash = next((m for m in merged if m[1] == p and abs(float(m[0]) - zf) < _MERGE_GAP), None)
         if clash is not None:
             warnings.warn(
                 f"merging near-coincident exponents {clash[0]} and {z} at log power {p}",
@@ -358,9 +338,9 @@ def fit_expansion(x, values, candidate, cutoff, *,
         raise ConditioningError("zero basis column on this grid")
     a_scaled = a / scale
     cond = np.linalg.cond(a_scaled)
-    if cond > cond_guard:
+    if cond > _COND_GUARD:
         raise ConditioningError(
-            f"basis condition number {cond:.3g} exceeds the guard {cond_guard:.3g}"
+            f"basis condition number {cond:.3g} exceeds the guard {_COND_GUARD:.3g}"
         )
     coeffs, *_ = np.linalg.lstsq(a_scaled, values, rcond=None)
     coeffs = coeffs / scale
@@ -369,9 +349,9 @@ def fit_expansion(x, values, candidate, cutoff, *,
 
     decay = None
     scale = 1.0 + float(np.max(np.abs(values)))
-    if check_decay and fit_residual > decay_floor * scale:
+    if fit_residual > _DECAY_FLOOR * scale:
         order = np.argsort(x)
-        small = order[: min(subgrid, len(x))]
+        small = order[:_DECAY_SUBGRID]
         floor = 1e-13 * scale
         usable = small[np.abs(resid[small]) > floor]
         if len(usable) >= 5:
@@ -393,11 +373,14 @@ def fit_expansion(x, values, candidate, cutoff, *,
     return PhgExpansion(terms, fit_residual, decay, meta)
 
 
-def compare_with_prediction(expansion: PhgExpansion, predicted: IndexSet,
-                            cutoff, coeff_tol: float = 1e-6) -> dict:
-    """Containment check of fitted terms against a symbolic prediction."""
+_COEFF_TOL = 1e-6  # fitted coefficients above this count as present
+
+
+def compare_with_prediction(expansion: PhgExpansion, predicted: IndexSet, cutoff) -> dict:
+    """Containment check of fitted terms (coefficients above ``_COEFF_TOL``)
+    against a symbolic prediction."""
     extra = []
-    for z, p in expansion.significant_terms(coeff_tol):
+    for z, p in expansion.significant_terms(_COEFF_TOL):
         zq = as_fraction(z) if not isinstance(z, Fraction) else z
         if not predicted.contains(zq, p):
             extra.append((float(z), p))

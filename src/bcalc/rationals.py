@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import SchemaError
-
 _FLOAT_RATIONALIZE_DEN = 10**12
 
 
@@ -22,16 +20,14 @@ def as_fraction(value) -> Fraction:
     """Coerce an int, Fraction, decimal/ratio string, or float to Fraction.
 
     Floats are rationalized with denominator bound 1e12; exact inputs stay
-    exact.
+    exact.  A bool is not a number here.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
     if isinstance(value, float):
         return Fraction(value).limit_denominator(_FLOAT_RATIONALIZE_DEN)
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
@@ -65,12 +61,9 @@ class ComplexRational:
     @classmethod
     def from_jsonable(cls, data) -> "ComplexRational":
         """Read ``"p/q"``, a number, or ``{"re": ..., "im": ...}`` (``im`` optional)."""
-        try:
-            if isinstance(data, dict):
-                return cls(as_fraction(data["re"]), as_fraction(data.get("im", 0)))
-            return cls(as_fraction(data))
-        except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise SchemaError(f"cannot read {data!r} as an exact scalar") from exc
+        if isinstance(data, dict):
+            return cls(as_fraction(data["re"]), as_fraction(data.get("im", 0)))
+        return cls(as_fraction(data))
 
     @property
     def is_real(self) -> bool:

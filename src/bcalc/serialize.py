@@ -3,7 +3,10 @@
 Every value type carries its own ``to_jsonable``/``from_jsonable``, and a
 scalar inside one is read by ``ComplexRational.from_jsonable``; this module
 adds schema sniffing so CLI arguments can be plain files of any supported
-kind.
+kind.  It is also the one place where decoded JSON that cannot be read
+becomes a ``SchemaError``: each reader passes fields as written to its
+constructor, and whatever the reader or the constructor raises is reported
+here.
 """
 from __future__ import annotations
 
@@ -18,28 +21,32 @@ from .indexsets import IndexEntry, IndexFamily, IndexSet
 
 def parse_object(data):
     """Detect the schema of a decoded JSON object and build the value."""
-    if isinstance(data, list):
-        return _parse_entry_list(data)
-    if not isinstance(data, dict):
-        raise SchemaError(f"cannot interpret {type(data).__name__} as a known object")
-    if "generators" in data:
-        return IndexSet.from_jsonable(data)
-    if "assignment" in data:
-        return IndexFamily.from_jsonable(data)
-    if "e" in data and "source" in data:
-        return BMapDescriptor.from_jsonable(data)
-    if "bhs" in data:
-        return FaceLattice.from_jsonable(data)
-    if "coeffs" in data:
-        return BDiffOp.from_jsonable(data)
-    if "E_lb" in data:
-        return FullCalcDescriptor.from_jsonable(data)
-    terms = data.get("terms")
-    if isinstance(terms, list) and (not terms or isinstance(terms[0], dict) and "side" in terms[0]):
-        return ModelKernel.from_jsonable(data)
-    if "entries" in data:
-        return _parse_entry_list(data["entries"])
-    raise SchemaError(f"unrecognized object with keys {sorted(data)}")
+    try:
+        if isinstance(data, list):
+            return _parse_entry_list(data)
+        if not isinstance(data, dict):
+            raise SchemaError(f"cannot interpret {type(data).__name__} as a known object")
+        if "generators" in data:
+            return IndexSet.from_jsonable(data)
+        if "assignment" in data:
+            return IndexFamily.from_jsonable(data)
+        if "e" in data and "source" in data:
+            return BMapDescriptor.from_jsonable(data)
+        if "bhs" in data:
+            return FaceLattice.from_jsonable(data)
+        if "coeffs" in data:
+            return BDiffOp.from_jsonable(data)
+        if "E_lb" in data:
+            return FullCalcDescriptor.from_jsonable(data)
+        if "terms" in data:
+            return ModelKernel.from_jsonable(data)
+        if "entries" in data:
+            return _parse_entry_list(data["entries"])
+        raise SchemaError(f"unrecognized object with keys {sorted(data)}")
+    except SchemaError:
+        raise
+    except (KeyError, TypeError, AttributeError, ValueError, ArithmeticError) as exc:
+        raise SchemaError(f"unreadable object ({type(exc).__name__}: {exc})") from exc
 
 
 def _parse_entry_list(items):
@@ -57,10 +64,11 @@ def _parse_entry_list(items):
 def load_object(path):
     path = Path(path)
     try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        return parse_object(json.loads(path.read_text()))
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise SchemaError(f"{path}: invalid JSON ({exc})") from exc
-    return parse_object(data)
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
 
 
 def load_typed(path, kind):

@@ -442,7 +442,7 @@ def test_parametrix_split_always_composable():
 def test_hs_zero_kernel():
     report = bop.hs_front_face_criterion(
         lambda x, s: 0.0, 4.0, 1e-3,
-        spec=num.QuadratureSpec(1e-8, 1e-8, 100), n_eps=3,
+        spec=num.QuadratureSpec(1e-8, 1e-8, 100),
     )
     assert report.slope == pytest.approx(0.0, abs=1e-12)
     assert report.reference == pytest.approx(0.0, abs=1e-12)
@@ -453,7 +453,7 @@ def test_hs_vanishing_restriction_has_bounded_norm():
     bump = num.smooth_bump(1.0, 0.5)
     report = bop.hs_front_face_criterion(
         lambda x, s: x * bump(s), 4.0, 1e-2,
-        spec=num.QuadratureSpec(1e-9, 1e-9, 200), n_eps=3,
+        spec=num.QuadratureSpec(1e-9, 1e-9, 200),
     )
     assert abs(report.slope) < 1e-4
     assert report.reference == pytest.approx(0.0, abs=1e-12)

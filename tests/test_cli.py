@@ -1,12 +1,26 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
+from pathlib import Path
+
+import hypothesis.strategies as st
+from hypothesis import given, settings
 
 from bcalc import boperators as bop
 from bcalc import geometry as geo
 from bcalc.cli import main
-from bcalc.errors import ConditioningError, FitRejection, NumericFailure, QuadratureError
+from bcalc.errors import (
+    ConditioningError,
+    FitRejection,
+    NumericFailure,
+    QuadratureError,
+    SchemaError,
+)
 from bcalc.indexsets import EMPTY, SMOOTH, IndexFamily, IndexSet
 from bcalc.serialize import load_object, parse_object
 
@@ -204,6 +218,9 @@ def test_malformed_input_is_exit_1(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["indexset", "inf", str(bad)]) == 1
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    assert main(["indexset", "inf", str(deep)]) == 1
     wrong = write(tmp_path, "fam.json", IndexFamily.of({"H": SMOOTH}, geo.halfline()))
     assert main(["indexset", "inf", wrong]) == 1
     smooth = write(tmp_path, "smooth.json", SMOOTH)
@@ -217,10 +234,37 @@ def test_malformed_input_is_exit_1(tmp_path, capsys):
         "bad-scalar.json": {"coeffs": [[{"im": "1"}], [[1]]]},
         "terms-not-a-list.json": {"terms": 5},
         "coeffs-not-a-list.json": {"coeffs": 5},
+        "assignment-int.json": {"assignment": 5},
+        "assignment-set-int.json": {"assignment": {"H": 5}},
+        "bhs-int.json": {"bhs": 5, "dim": 1, "faces": []},
+        "map-ints.json": {"e": 5, "source": 5},
+        "order-list.json": {"order": [], "E_lb": {"generators": []}, "E_rb": {"generators": []}},
+        "kernel-p-list.json": {"terms": [{"side": "lb", "z": "1", "p": [1], "coeff": "1"}]},
     }
     for name, data in unreadable.items():
         assert main(["indexset", "inf", write(tmp_path, name, data)]) == 1, name
         assert len(capsys.readouterr().err.strip().splitlines()) == 1, name
+    # values are taken as written: each file below once read as a valid object
+    proj = geo.halfline_projection(1).to_jsonable()  # a b-fibration with e = [[1], [0], [1]]
+    check = ["map", "check-bfibration", "FILE"]
+    coerced = {
+        "e-float.json": ({**proj, "e": [[1.7], [0], [1]]}, check),
+        "e-str.json": ({**proj, "e": [["1"], [0], [1]]}, check),
+        "e-bool.json": ({**proj, "e": [[True], [0], [1]]}, check),
+        "fibration-str.json": ({**proj, "fibration_faces": "false"}, check),
+        "dim-float.json": ({**geo.model_quadrant(2, 2).to_jsonable(), "dim": 2.9},
+                           ["space", "blowup", "FILE", "--center", "H1,H2", "--name", "F"]),
+        "p-bool.json": ({"generators": [{"re": "0", "p": True}]}, ["indexset", "inf", "FILE"]),
+        "order-nan.json": ({"order": "nan", "E_lb": {"generators": []},
+                            "E_rb": SMOOTH.shift(1).to_jsonable()},
+                           ["op", "compose", "FILE", "FILE"]),
+    }
+    for name, (data, argv) in coerced.items():
+        path = write(tmp_path, name, data)
+        assert main([path if a == "FILE" else a for a in argv]) == 1, name
+        captured = capsys.readouterr()
+        assert captured.out == "", name
+        assert len(captured.err.strip().splitlines()) == 1, name
     op = write(tmp_path, "op.json", bop.BDiffOp.from_lists([[1], [1]]))
     for support in (["0", "1"], ["3", "1"], ["1", "1"], ["1", "inf"]):
         assert main(["op", "apply-check", op, "--support", *support]) == 1, support
@@ -232,6 +276,38 @@ def test_malformed_input_is_exit_1(tmp_path, capsys):
                  ["indexset", "bogus", smooth]):
         assert exit_code(argv) == 1, argv
         assert len(capsys.readouterr().err.strip().splitlines()) == 1, argv
+
+
+# dict keys from the schema vocabulary, so the sniff in parse_object reaches every reader
+_SCHEMA_KEYS = ("generators", "re", "im", "p", "assignment", "H", "e", "source", "target",
+                "bhs", "dim", "faces", "fibration_faces", "coeffs", "trunc", "order", "E_lb",
+                "E_rb", "terms", "z", "side", "coeff", "entries")
+_VALID_PARTS = (SMOOTH.to_jsonable(), geo.halfline().to_jsonable(),
+                geo.model_quadrant(2, 2).to_jsonable(), {"re": "1/2", "im": "-1"})
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=True)
+    | st.sampled_from(["0", "1/2", "-1", "1/0", "-inf", "nan", "lb", "rb", "H", "abc", ""])
+    | st.text(max_size=4) | st.sampled_from(_VALID_PARTS),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_SCHEMA_KEYS), inner, max_size=5),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_json_values)
+def test_any_json_is_read_or_refused_in_one_line(data):
+    try:
+        parse_object(data)
+    except SchemaError:
+        pass
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.json"
+        path.write_text(json.dumps(data))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["indexset", "inf", str(path)])
+    assert code == 0 or code == 1 and len(err.getvalue().strip().splitlines()) == 1
 
 
 def test_numeric_failure_is_exit_3(capsys):
@@ -260,6 +336,16 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["generators"] == [{"re": "0", "im": "0", "p": 0}]
+
+
+def test_demo_script_runs():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "demo_pushforward.py"
+    proc = subprocess.run(
+        [sys.executable, str(script)], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "contained in prediction: True" in proc.stdout
 
 
 def test_load_object_detects_types(tmp_path):

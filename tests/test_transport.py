@@ -262,7 +262,7 @@ def test_symbolic_pushforward_contains_all_fitted_terms():
     grid = num.geometric_grid(0.3, 0.9, 70)
     samples = num.numeric_pushforward(u, num.QuadratureSpec(1e-12, 1e-12, 300), grid)
     fit = num.fit_expansion(grid, samples.values, LOG_SET, 6)
-    report = num.compare_with_prediction(fit, predicted, 6, coeff_tol=1e-6)
+    report = num.compare_with_prediction(fit, predicted, 6)
     assert report["contained"], report
     # and the prediction is sharp where it promises a log
     assert abs(fit.coeff(2, 1) - 0.5) < 1e-4
