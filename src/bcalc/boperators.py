@@ -40,10 +40,7 @@ from .numeric import (
     integrate,
     plateau_cutoff,
 )
-from .rationals import ComplexRational, as_fraction
-
-_CR0 = ComplexRational()
-_CR1 = ComplexRational.of(1)
+from .rationals import ONE, ZERO, ComplexRational, as_fraction
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +62,7 @@ def _pdeg(p):
 def _padd(p, q):
     n = max(len(p), len(q))
     return _ptrim(
-        (p[i] if i < len(p) else _CR0) + (q[i] if i < len(q) else _CR0) for i in range(n)
+        (p[i] if i < len(p) else ZERO) + (q[i] if i < len(q) else ZERO) for i in range(n)
     )
 
 
@@ -94,7 +91,7 @@ def _pdivmod(p, q):
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
     rem = list(p)
-    quot = [_CR0] * max(0, len(p) - len(q) + 1)
+    quot = [ZERO] * max(0, len(p) - len(q) + 1)
     dq = len(q) - 1
     lead = q[-1]
     for i in range(len(rem) - 1, dq - 1, -1):
@@ -108,7 +105,7 @@ def _pdivmod(p, q):
 
 
 def _pmonic(p):
-    return _pscale(p, _CR1 / p[-1]) if p else ()
+    return _pscale(p, ONE / p[-1]) if p else ()
 
 
 def _pgcd(p, q):
@@ -120,7 +117,7 @@ def _pgcd(p, q):
 
 
 def _peval(p, z: ComplexRational) -> ComplexRational:
-    acc = _CR0
+    acc = ZERO
     for c in reversed(p):
         acc = acc * z + c
     return acc
@@ -253,11 +250,13 @@ class BDiffOp:
             raise ValueError("an operator needs at least one coefficient")
         if not any(self.coeffs[-1]):
             raise ValueError("leading coefficient series is identically zero")
+        if type(self.trunc) is not int or self.trunc < 0:
+            raise ValueError(f"truncation degree must be a non-negative integer, got {self.trunc!r}")
 
     @classmethod
     def from_lists(cls, coeff_lists, trunc: Optional[int] = None) -> "BDiffOp":
         series = tuple(
-            tuple(ComplexRational.of(c) for c in lst) or (_CR0,) for lst in coeff_lists
+            tuple(ComplexRational.of(c) for c in lst) or (ZERO,) for lst in coeff_lists
         )
         if trunc is None:
             trunc = max(len(s) - 1 for s in series)
@@ -269,7 +268,7 @@ class BDiffOp:
 
     def constant_term(self, j: int) -> ComplexRational:
         s = self.coeffs[j]
-        return s[0] if s else _CR0
+        return s[0] if s else ZERO
 
     @property
     def has_constant_coefficients(self) -> bool:
@@ -376,6 +375,8 @@ class KernelTerm:
     def __post_init__(self):
         if type(self.p) is not int or self.p < 0:
             raise ValueError(f"log power must be a non-negative integer, got {self.p!r}")
+        if self.side not in ("lb", "rb"):
+            raise ValueError(f"kernel term side must be 'lb' or 'rb', got {self.side!r}")
 
     def evaluate(self, s: float) -> complex:
         if self.side == "rb":
@@ -508,7 +509,7 @@ def model_inverse(ind: IndicialData, gamma) -> ModelKernel:
             if root.value.re < gamma:
                 terms.append(KernelTerm(-root.value, j - 1, "rb", a_j / fact))
             else:
-                sign = _CR1 if (j - 1) % 2 else -_CR1
+                sign = ONE if (j - 1) % 2 else -ONE
                 terms.append(KernelTerm(root.value, j - 1, "lb", sign * a_j / fact))
     terms.sort(key=lambda t: (t.side, t.z.key(), t.p))
     return ModelKernel(tuple(terms))

@@ -21,6 +21,7 @@ from . import transport
 from . import verify as verify_mod
 from .errors import HypothesisViolation, NumericFailure, SchemaError
 from .indexsets import IndexFamily, IndexSet, complete
+from .rationals import as_fraction
 from .serialize import load_typed, load_object
 
 
@@ -57,10 +58,11 @@ def _entry_text(e):
 def _set_report(s: IndexSet, bound):
     lines = ["generators:"]
     lines += [_entry_text(g) for g in s.sorted_generators()] or ["  (empty)"]
+    members = s.truncate(bound)
     lines.append(f"members with Re z <= {bound}:")
-    lines += [_entry_text(e) for e in s.truncate(bound)] or ["  (none)"]
+    lines += [_entry_text(e) for e in members] or ["  (none)"]
     payload = dict(s.to_jsonable())
-    payload["truncation"] = [e.to_jsonable() for e in s.truncate(bound)]
+    payload["truncation"] = [e.to_jsonable() for e in members]
     return payload, lines
 
 
@@ -303,7 +305,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _rational(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        return as_fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
 

@@ -25,6 +25,9 @@ from .rationals import ComplexRational, as_fraction
 # The exponent z in x^z log^p x.
 Exponent = ComplexRational
 
+#: Most members ``IndexSet.truncate`` will list.
+_TRUNCATE_BUDGET = 10_000
+
 
 def residue_class(z: Exponent):
     """(Im z, Re z mod 1): equal exactly when two exponents differ by an integer."""
@@ -171,15 +174,27 @@ class IndexSet:
         return IndexSet(_reduce(gens))
 
     def truncate(self, bound):
-        """All members with Re z <= bound, sorted by (Re z, Im z, p)."""
+        """All members with Re z <= bound, sorted by (Re z, Im z, p).
+
+        Within a residue class the generators, by increasing Re z, raise the
+        log power, so each one alone covers the integer steps up to the next.
+        The members are counted from these runs before any is listed, and a
+        truncation of more than ``_TRUNCATE_BUDGET`` members is refused with
+        ``ValueError``.
+        """
         limit = as_fraction(bound)
-        members = set()
-        for g in self.generators:
-            k = 0
-            while g.z.re + k <= limit:
-                for p in range(g.p + 1):
-                    members.add(IndexEntry(g.z + k, p))
-                k += 1
+        chains = {}
+        for g in sorted(self.generators, key=lambda g: g.z.re):
+            chains.setdefault(residue_class(g.z), []).append(g)
+        runs = []  # (generator, number of integer steps it covers)
+        for chain in chains.values():
+            ends = [g.z.re - 1 for g in chain[1:]] + [limit]
+            runs += [(g, math.floor(min(end, limit) - g.z.re) + 1)
+                     for g, end in zip(chain, ends) if g.z.re <= limit]
+        if sum(n * (g.p + 1) for g, n in runs) > _TRUNCATE_BUDGET:
+            raise ValueError(f"truncation at Re z <= {limit} has more than the budget "
+                             f"of {_TRUNCATE_BUDGET} members")
+        members = (IndexEntry(g.z + k, p) for g, n in runs for k in range(n) for p in range(g.p + 1))
         return tuple(sorted(members, key=IndexEntry.sort_key))
 
     # -- serialization ----------------------------------------------------

@@ -16,7 +16,6 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.integrate
 
 from .errors import (
     ConditioningError,
@@ -45,7 +44,12 @@ DEFAULT_QUAD = QuadratureSpec()
 
 
 def _raw_quad(f, a, b, spec, points=None):
-    """quad with warnings captured; returns (value, err, warned)."""
+    """quad with warnings captured; returns (value, err, warned).
+
+    The one call of QUADPACK, and so the only import of SciPy.
+    """
+    import scipy.integrate
+
     kwargs = dict(epsabs=spec.abs_tol, epsrel=spec.rel_tol, limit=spec.max_depth)
     if points and np.isfinite(a) and np.isfinite(b):
         inside = [p for p in points if a < p < b]
@@ -122,20 +126,9 @@ def integrate_from_zero(f, b, spec=DEFAULT_QUAD) -> float:
 
 
 def integrate_to_inf(f, a, spec=DEFAULT_QUAD) -> float:
-    """Integral over [a, inf) with divergence detection at infinity."""
-    value, err, warned = _raw_quad(f, a, np.inf, spec)
-    if not warned:
-        return value
-    cuts = [a / _PROBE_RATIO ** (k + 1) for k in range(6)]
-    head, _, warned2 = _raw_quad(f, a, cuts[0], spec)
-    if warned2:
-        raise QuadratureError("quadrature failed on the finite part")
-    # probe the endpoint at infinity through the substitution t -> 1/u
-    inc, tail = _probe_endpoint(
-        [1.0 / c for c in cuts],
-        lambda u1, u2: _raw_quad(lambda u: f(1.0 / u) / (u * u), u1, u2, spec),
-    )
-    return head + inc + tail
+    """Integral over [a, inf) with divergence detection at infinity,
+    as the integral over (0, 1/a] after the substitution t = 1/u."""
+    return integrate_from_zero(lambda u: f(1.0 / u) / (u * u), 1.0 / a, spec)
 
 
 # ---------------------------------------------------------------------------

@@ -10,22 +10,35 @@ codec for a scalar (``ComplexRational.to_jsonable``/``from_jsonable``).
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 _FLOAT_RATIONALIZE_DEN = 10**12
+# Python's own int-string limit; Fraction would expand a larger decimal
+# exponent into an exact integer, at a cost that grows without bound
+_STR_LIMIT = 4300
 
 
 def as_fraction(value) -> Fraction:
     """Coerce an int, Fraction, decimal/ratio string, or float to Fraction.
 
     Floats are rationalized with denominator bound 1e12; exact inputs stay
-    exact.  A bool is not a number here.
+    exact.  A bool is not a number here.  A string longer than ``_STR_LIMIT``
+    characters, or with a decimal exponent above it in magnitude, is refused
+    with ``ValueError`` before ``Fraction`` sees it.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
         return Fraction(value).limit_denominator(_FLOAT_RATIONALIZE_DEN)
+    if isinstance(value, str):
+        exponent = re.search(r"[eE]([-+]?[\d_]+)", value)
+        if len(value) > _STR_LIMIT or exponent and abs(int(exponent.group(1))) > _STR_LIMIT:
+            raise ValueError(
+                f"scalar {value[:20]!r}... is longer than {_STR_LIMIT} characters "
+                f"or has a decimal exponent above {_STR_LIMIT} in magnitude"
+            )
     if isinstance(value, (int, str)) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")

@@ -38,6 +38,17 @@ def test_operator_validation():
     assert op.order == 1
     assert not op.has_constant_coefficients
     assert bop.BDiffOp.from_lists([[3], [5]]).has_constant_coefficients
+    assert bop.BDiffOp.from_lists([[1], [1]], 0).trunc == 0
+    for trunc in (-1, 1.0, True, "2"):
+        with pytest.raises(ValueError):
+            bop.BDiffOp.from_lists([[1], [1]], trunc)
+
+
+def test_kernel_term_validation():
+    assert bop.KernelTerm(CR.of(1), 0, "lb", CR.of(1)).evaluate(2.0) == 0.5
+    for side in ("up", "", None, ["rb"]):
+        with pytest.raises(ValueError):
+            bop.KernelTerm(CR.of(1), 0, side, CR.of(1))
 
 
 def test_indicial_requires_boundary_ellipticity():

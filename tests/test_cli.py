@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -240,10 +241,26 @@ def test_malformed_input_is_exit_1(tmp_path, capsys):
         "map-ints.json": {"e": 5, "source": 5},
         "order-list.json": {"order": [], "E_lb": {"generators": []}, "E_rb": {"generators": []}},
         "kernel-p-list.json": {"terms": [{"side": "lb", "z": "1", "p": [1], "coeff": "1"}]},
+        "kernel-side.json": {"terms": [{"side": "up", "z": "1", "p": 0, "coeff": "1"}]},
+        "trunc-str.json": {"coeffs": [["1"], ["1"]], "trunc": "x"},
+        "trunc-float.json": {"coeffs": [["1"], ["1"]], "trunc": 1.7},
+        "trunc-bool.json": {"coeffs": [["1"], ["1"]], "trunc": True},
+        "trunc-negative.json": {"coeffs": [["1"], ["1"]], "trunc": -1},
+        "long-scalar.json": {"generators": [{"re": "1" * 5000, "p": 0}]},
+        "huge-exponent.json": {"generators": [{"re": "1e10000000", "p": 0}]},
     }
     for name, data in unreadable.items():
+        start = time.perf_counter()
         assert main(["indexset", "inf", write(tmp_path, name, data)]) == 1, name
+        assert time.perf_counter() - start < 2.0, name
         assert len(capsys.readouterr().err.strip().splitlines()) == 1, name
+    # more members than the truncation budget, from one generator's Re z or p
+    for gen in ({"re": "-20000", "p": 0}, {"re": "0", "p": 3000}):
+        start = time.perf_counter()
+        assert main(["indexset", "truncate", write(tmp_path, "big.json", {"generators": [gen]})]) == 1
+        assert time.perf_counter() - start < 2.0, gen
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.strip().splitlines()) == 1, gen
     # values are taken as written: each file below once read as a valid object
     proj = geo.halfline_projection(1).to_jsonable()  # a b-fibration with e = [[1], [0], [1]]
     check = ["map", "check-bfibration", "FILE"]
@@ -270,6 +287,7 @@ def test_malformed_input_is_exit_1(tmp_path, capsys):
         assert main(["op", "apply-check", op, "--support", *support]) == 1, support
         assert len(capsys.readouterr().err.strip().splitlines()) == 1, support
     for argv in (["op", "split", op, "--gamma", "1/0"],
+                 ["op", "split", op, "--gamma", "1e10000000"],
                  ["indexset", "truncate", smooth, "--truncate", "1/0"],
                  ["indexset", "truncate", smooth, "--truncate", "abc"],
                  ["--tol", "abc", "indexset", "inf", smooth],
@@ -283,10 +301,15 @@ _SCHEMA_KEYS = ("generators", "re", "im", "p", "assignment", "H", "e", "source",
                 "bhs", "dim", "faces", "fibration_faces", "coeffs", "trunc", "order", "E_lb",
                 "E_rb", "terms", "z", "side", "coeff", "entries")
 _VALID_PARTS = (SMOOTH.to_jsonable(), geo.halfline().to_jsonable(),
-                geo.model_quadrant(2, 2).to_jsonable(), {"re": "1/2", "im": "-1"})
+                geo.model_quadrant(2, 2).to_jsonable(), {"re": "1/2", "im": "-1"},
+                {"re": "-20000", "p": 0}, {"re": "0", "p": 3000})
+# scalars at and past the bounds: Fraction would expand these exponents exactly
+_BIG_SCALARS = ("1e4300", "-1e4300", "1e-4300", "1e4301", "1e10000000", "-2.5E-999999",
+                "1" * 4300, "1" * 5000, "1/" + "3" * 4400, "0." + "0" * 5000 + "1")
 _json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=True)
     | st.sampled_from(["0", "1/2", "-1", "1/0", "-inf", "nan", "lb", "rb", "H", "abc", ""])
+    | st.sampled_from(_BIG_SCALARS)
     | st.text(max_size=4) | st.sampled_from(_VALID_PARTS),
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(st.sampled_from(_SCHEMA_KEYS), inner, max_size=5),
@@ -304,10 +327,41 @@ def test_any_json_is_read_or_refused_in_one_line(data):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.json"
         path.write_text(json.dumps(data))
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(["indexset", "inf", str(path)])
-    assert code == 0 or code == 1 and len(err.getvalue().strip().splitlines()) == 1
+        for action in ("inf", "truncate"):
+            err = io.StringIO()
+            start = time.perf_counter()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["indexset", action, str(path)])
+            assert time.perf_counter() - start < 5.0, action
+            assert code == 0 or code == 1 and len(err.getvalue().strip().splitlines()) == 1, action
+
+
+def test_only_quadrature_loads_scipy(tmp_path):
+    smooth = write(tmp_path, "smooth.json", SMOOTH)
+    op = write(tmp_path, "op.json", bop.BDiffOp.from_lists([[1], [1]]))
+    child = f"""
+import contextlib, io, json, sys
+import bcalc, bcalc.cli
+from bcalc import cli
+argvs = [["indexset", "extunion", {smooth!r}, {smooth!r}], ["space", "triple"],
+         ["op", "specb", {op!r}], ["op", "apply-check", {op!r}, "--json"]]
+codes, loaded = [], []
+for argv in argvs:
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        codes.append(cli.main(argv))
+    loaded.append("scipy" in sys.modules)
+print(json.dumps({{"codes": codes, "loaded": loaded, "apply": json.loads(out.getvalue())}}))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", child], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["codes"] == [0, 0, 0, 0]
+    # the symbolic subcommands never import SciPy; apply-check's quadrature does
+    assert report["loaded"] == [False, False, False, True]
+    assert report["apply"]["max_residual"] < 1e-5
 
 
 def test_numeric_failure_is_exit_3(capsys):

@@ -85,6 +85,25 @@ def test_truncate_examples():
     ]
 
 
+def test_truncate_is_bounded_by_its_member_budget():
+    # a class counts each run once: (0, 1) and (3, 2) cover 3*2 + 8*3 members up to 10
+    assert len(S((0, 1), (3, 2)).truncate(10)) == 30
+    assert len(S((-9989, 0)).truncate(10)) == 10_000  # exactly the budget
+    for s in (S((-9990, 0)), S((-20000, 0)), S((0, 3000)), S((CR.of(-10**6, 1), 0))):
+        with pytest.raises(ValueError, match="budget"):
+            s.truncate(10)
+    # a bound between two integer steps lists the steps below it
+    assert len(S((-9990, 0)).truncate(Fraction(-1, 2))) == 9990
+
+
+def test_scalar_strings_are_bounded():
+    assert CR.of("1e4300").re == 10**4300
+    assert CR.of("1" * 4300).re == int("1" * 4300)
+    for text in ("1e4301", "1e-4301", "-2.5E+10000000", "1" * 4301, "1/" + "7" * 4400):
+        with pytest.raises(ValueError):
+            CR.of(text)
+
+
 def test_inf_re():
     assert S((2, 0), (3, 1)).inf_re() == 2
     assert EMPTY.inf_re() == math.inf
