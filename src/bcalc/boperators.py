@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -378,6 +379,17 @@ class KernelTerm:
         if self.side not in ("lb", "rb"):
             raise ValueError(f"kernel term side must be 'lb' or 'rb', got {self.side!r}")
 
+    # evaluate's float forms, converted once per term rather than per call
+    @cached_property
+    def _coeff(self) -> complex:
+        return self.coeff.as_complex()
+
+    @cached_property
+    def _power(self) -> complex:
+        """The power of s: z on the rb side, -z on the lb side."""
+        zc = self.z.as_complex()
+        return zc if self.side == "rb" else -zc
+
     def evaluate(self, s: float) -> complex:
         if self.side == "rb":
             if not 0.0 < s < 1.0:
@@ -387,9 +399,7 @@ class KernelTerm:
             if s <= 1.0:
                 return 0.0
             base = math.log(s)
-        zc = self.z.as_complex()
-        power = s ** zc if self.side == "rb" else s ** (-zc)
-        return self.coeff.as_complex() * power * base ** self.p
+        return self._coeff * s ** self._power * base ** self.p
 
 
 @dataclass(frozen=True)
@@ -397,6 +407,12 @@ class ModelKernel:
     """Finite-term kernel acting by (Qv)(x) = int k(x'/x) v(x') dx'/x'."""
 
     terms: tuple
+
+    @property
+    def support(self) -> tuple:
+        """(lo, hi) in s: (0, 1) from the rb terms, (1, inf) from the lb terms."""
+        sides = {t.side for t in self.terms}
+        return (0.0 if "rb" in sides else 1.0, math.inf if "lb" in sides else 1.0)
 
     def evaluate(self, s: float) -> float:
         return sum(t.evaluate(s) for t in self.terms).real if self.terms else 0.0
@@ -675,16 +691,10 @@ def parametrix_indices(op: BDiffOp, gamma, steps: int) -> ParametrixReport:
     neumann = IDENTITY_DESCRIPTOR
     r_power = r
     for j in range(1, steps):
-        try:
-            neumann = descriptor_sum(neumann, r_power)
-            r_power = compose_descriptors(r_power, r)
-        except CompositionUndefined as exc:
-            raise CompositionUndefined(f"remainder power {j + 1}: {exc}") from exc
+        neumann = descriptor_sum(neumann, r_power)
+        r_power = compose_descriptors(r_power, r)
         log.append(f"Neumann term {j} accumulated")
-    try:
-        parametrix = compose_descriptors(q, neumann)
-    except CompositionUndefined as exc:
-        raise CompositionUndefined(f"final composition: {exc}") from exc
+    parametrix = compose_descriptors(q, neumann)
     log.append(f"parametrix after {steps} step(s)")
     return ParametrixReport(parametrix, r_power, tuple(log))
 

@@ -103,10 +103,19 @@ class FaceLattice:
         )
 
 
+#: Most faces ``model_quadrant`` will list; its 2^k faces exceed this from k = 14.
+_FACE_BUDGET = 10_000
+
+
 def model_quadrant(k: int, n: int, names=None) -> FaceLattice:
-    """The model corner [0, inf)^k x R^(n-k): k hypersurfaces, all subsets meet."""
+    """The model corner [0, inf)^k x R^(n-k): k hypersurfaces, all subsets meet.
+
+    More than ``_FACE_BUDGET`` faces are refused with ``LatticeError``.
+    """
     if not 0 <= k <= n:
         raise LatticeError(f"need 0 <= k <= n, got k={k}, n={n}")
+    if k >= _FACE_BUDGET.bit_length():  # 2^k > _FACE_BUDGET, without computing 2^k
+        raise LatticeError(f"k={k} gives 2^{k} faces, more than the budget of {_FACE_BUDGET}")
     if names is None:
         names = tuple(f"H{i + 1}" for i in range(k))
     else:

@@ -25,7 +25,8 @@ from .rationals import ComplexRational, as_fraction
 # The exponent z in x^z log^p x.
 Exponent = ComplexRational
 
-#: Most members ``IndexSet.truncate`` will list.
+#: Most members ``IndexSet.truncate`` will list, and most chains
+#: ``IndexSet.scale_down`` will build.
 _TRUNCATE_BUDGET = 10_000
 
 
@@ -162,10 +163,15 @@ class IndexSet:
         """The set {(z/e, p)} for integer e >= 1, completed.
 
         Division by e turns the integer-shift closure into a 1/e-shift
-        closure, so each generator expands into e chains.
+        closure, so each generator expands into e chains.  More than
+        ``_TRUNCATE_BUDGET`` chains in all are refused with ``ValueError``.
         """
         if e < 1:
             raise ValueError("scale factor must be a positive integer")
+        chains = len(self.generators) * e
+        if chains > _TRUNCATE_BUDGET:
+            raise ValueError(f"scaling down by {e} makes {chains} chains, more than the "
+                             f"budget of {_TRUNCATE_BUDGET}")
         gens = [
             IndexEntry((g.z + k) / e, g.p)
             for g in self.generators

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
@@ -23,8 +22,8 @@ from .errors import (
     IntegrabilityError,
     QuadratureError,
 )
-from .indexsets import IndexEntry, IndexSet
-from .rationals import ComplexRational, as_fraction
+from .indexsets import IndexSet
+from .rationals import as_fraction
 
 
 @dataclass(frozen=True)
@@ -73,56 +72,33 @@ def integrate(f, a, b, spec=DEFAULT_QUAD, points=None) -> float:
 _PROBE_RATIO = 1e-2
 
 
-def _probe_endpoint(deltas, segment):
-    """Classify an endpoint singularity from increments between cutoffs.
-
-    ``deltas`` approach the bad endpoint geometrically; ``segment(d1, d2)``
-    integrates between consecutive cutoffs.  Estimates the local power alpha
-    of the antiderivative; alpha <= ~0 means divergence.
-    Returns (sum of increments, tail estimate) or raises IntegrabilityError.
-    """
-    increments = []
-    for d_outer, d_inner in zip(deltas, deltas[1:]):
-        val, _, warned = segment(d_inner, d_outer)
-        if warned:
-            raise QuadratureError("quadrature failed while probing an endpoint")
-        increments.append(val)
-    mags = [abs(v) for v in increments]
-    total = sum(increments)
-    if max(mags) < 1e-14 * (1 + abs(total)):
-        return total, 0.0
-    alphas = []
-    for m1, m2 in zip(mags, mags[1:]):
-        if m1 > 0 and m2 > 0:
-            alphas.append(math.log(m2 / m1) / math.log(_PROBE_RATIO))
-    if not alphas:
-        return total, 0.0
-    alpha = sorted(alphas)[len(alphas) // 2]
-    if alpha <= 5e-3:
-        raise IntegrabilityError(
-            f"integral diverges at the endpoint (local power estimate {alpha:.3g})"
-        )
-    rho_a = _PROBE_RATIO ** alpha
-    tail = increments[-1] * rho_a / (1.0 - rho_a)
-    return total, tail
-
-
 def integrate_from_zero(f, b, spec=DEFAULT_QUAD) -> float:
     """Integral over (0, b] with divergence detection at 0.
 
-    Integrable endpoint singularities are handled by the adaptive rule; when
-    it fails to converge, geometric cutoffs toward 0 classify the endpoint
-    and either raise IntegrabilityError or return an extrapolated value.
+    The value is QUADPACK's, returned only when it converges.  When it does
+    not, integrals between geometric cutoffs toward 0 estimate the local
+    power alpha of the antiderivative there: alpha <= ~0 is a divergence
+    (IntegrabilityError), anything else a quadrature failure (QuadratureError).
     """
     value, err, warned = _raw_quad(f, 0.0, b, spec)
     if not warned:
         return value
-    deltas = [b * _PROBE_RATIO ** (k + 1) for k in range(6)]
-    head, _, warned2 = _raw_quad(f, deltas[0], b, spec)
-    if warned2:
-        raise QuadratureError("quadrature failed away from the endpoint")
-    inc, tail = _probe_endpoint(deltas, lambda d1, d2: _raw_quad(f, d1, d2, spec))
-    return head + inc + tail
+    cuts = [b * _PROBE_RATIO ** (k + 1) for k in range(6)]
+    mags = []
+    for outer, inner in zip(cuts, cuts[1:]):
+        increment, _, warned = _raw_quad(f, inner, outer, spec)
+        if warned:
+            raise QuadratureError("quadrature failed while probing an endpoint")
+        mags.append(abs(increment))
+    alphas = sorted(math.log(m2 / m1) / math.log(_PROBE_RATIO)
+                    for m1, m2 in zip(mags, mags[1:]) if m1 > 0 and m2 > 0)
+    if alphas and max(mags) >= 1e-14 * (1 + sum(mags)):  # not all increments negligible
+        alpha = alphas[len(alphas) // 2]
+        if alpha <= 5e-3:
+            raise IntegrabilityError(
+                f"integral diverges at the endpoint (local power estimate {alpha:.3g})"
+            )
+    raise QuadratureError(f"quadrature did not converge on (0, {b}] (err={err:.3g})")
 
 
 def integrate_to_inf(f, a, spec=DEFAULT_QUAD) -> float:
@@ -252,9 +228,8 @@ class PhgExpansion:
     grid_meta: str
 
     def coeff(self, z, p: int) -> float:
-        zf = float(as_fraction(z) if not isinstance(z, float) else z)
         for tz, tp, tc in self.terms:
-            if tp == p and abs(float(tz) - zf) < 1e-12:
+            if tp == p and tz == z:
                 return tc
         raise KeyError(f"term ({z}, {p}) was not in the fitted basis")
 
@@ -266,25 +241,10 @@ class PhgExpansion:
         return tuple((z, p) for z, p, c in self.terms if abs(c) > tol)
 
 
-def _candidate_entries(candidate, cutoff):
-    if isinstance(candidate, IndexSet):
-        entries = candidate.truncate(cutoff)
-    else:
-        entries = [IndexEntry.of(e) for e in candidate]
-    out = []
-    for e in entries:
-        if e.z.im != 0:
-            raise ValueError("fitting supports real exponents only")
-        out.append((e.z.re, e.p))
-    return sorted(set(out))
-
-
-def _next_exponent_after(candidate, cutoff):
-    if not isinstance(candidate, IndexSet):
-        return float(cutoff) + 1.0
-    wide = candidate.truncate(as_fraction(cutoff) + 3)
-    beyond = [float(e.z.re) for e in wide if e.z.re > as_fraction(cutoff)]
-    return min(beyond) if beyond else float(cutoff) + 1.0
+def _next_exponent_after(candidate: IndexSet, cutoff) -> float:
+    limit = as_fraction(cutoff)
+    beyond = [e.z.re for e in candidate.truncate(limit + 3) if e.z.re > limit]
+    return float(min(beyond, default=limit + 1))
 
 
 _COND_GUARD = 1e13  # largest accepted condition number of the column-scaled basis
@@ -293,11 +253,11 @@ _DECAY_SUBGRID = 20  # smallest-x points whose residual must decay
 _DECAY_FLOOR = 1e-7  # relative residual below which decay is not checked
 
 
-def fit_expansion(x, values, candidate, cutoff) -> PhgExpansion:
+def fit_expansion(x, values, candidate: IndexSet, cutoff) -> PhgExpansion:
     """Least-squares fit of samples against a candidate index-set truncation.
 
-    The candidate (an IndexSet, truncated at ``Re z <= cutoff``, or an
-    explicit entry list) provides the basis ``x^z log^p(1/x)``.  Exponents
+    The candidate's members with ``Re z <= cutoff`` give the basis
+    ``x^z log^p(1/x)``, with exact Fraction exponents.  Exponents
     closer than ``_MERGE_GAP`` at equal log power are merged with a warning
     (the basis would collapse).  After fitting, the residual on the
     ``_DECAY_SUBGRID`` smallest x must decay at least like the first omitted
@@ -307,14 +267,15 @@ def fit_expansion(x, values, candidate, cutoff) -> PhgExpansion:
     """
     x = np.asarray(x, dtype=float)
     values = np.asarray(values, dtype=float)
-    pairs = _candidate_entries(candidate, cutoff)
-    if not pairs:
+    members = candidate.truncate(cutoff)
+    if not members:
         raise ValueError("empty candidate basis")
+    if any(e.z.im for e in members):
+        raise ValueError("fitting supports real exponents only")
 
     merged = []
-    for z, p in pairs:
-        zf = float(z)
-        clash = next((m for m in merged if m[1] == p and abs(float(m[0]) - zf) < _MERGE_GAP), None)
+    for z, p in ((e.z.re, e.p) for e in members):
+        clash = next((m for m in merged if m[1] == p and abs(m[0] - z) < _MERGE_GAP), None)
         if clash is not None:
             warnings.warn(
                 f"merging near-coincident exponents {clash[0]} and {z} at log power {p}",
@@ -358,10 +319,7 @@ def fit_expansion(x, values, candidate, cutoff) -> PhgExpansion:
                     f"max residual {fit_residual:.3g} on grid of {len(x)} points"
                 )
 
-    terms = tuple(sorted(
-        ((z, p, float(c)) for (z, p), c in zip(merged, coeffs)),
-        key=lambda t: (float(t[0]), t[1]),
-    ))
+    terms = tuple((z, p, float(c)) for (z, p), c in zip(merged, coeffs))
     meta = f"{len(x)} points in [{x.min():.3g}, {x.max():.3g}]"
     return PhgExpansion(terms, fit_residual, decay, meta)
 
@@ -374,14 +332,13 @@ def compare_with_prediction(expansion: PhgExpansion, predicted: IndexSet, cutoff
     against a symbolic prediction."""
     extra = []
     for z, p in expansion.significant_terms(_COEFF_TOL):
-        zq = as_fraction(z) if not isinstance(z, Fraction) else z
-        if not predicted.contains(zq, p):
+        if not predicted.contains(z, p):
             extra.append((float(z), p))
-    fitted = {(float(z), p) for z, p, _ in expansion.terms}
+    fitted = {(z, p) for z, p, _ in expansion.terms}
     missing = [
         (float(e.z.re), e.p)
         for e in predicted.truncate(cutoff)
-        if e.z.im == 0 and (float(e.z.re), e.p) not in fitted
+        if e.z.im == 0 and (e.z.re, e.p) not in fitted
     ]
     return {"contained": not extra, "extra": extra, "missing": missing}
 
@@ -400,12 +357,6 @@ def solve_model_ode(c, v: Callable[[float], float], x_grid,
     IntegrabilityError.  Like the fitting layer, this is restricted to real
     c; oscillatory exponents stay symbolic.
     """
-    if isinstance(c, ComplexRational):
-        if c.im:
-            raise ValueError("solve_model_ode supports real coefficients only")
-        c = c.re
-    if isinstance(c, complex):
-        raise ValueError("solve_model_ode supports real coefficients only")
     cf = float(c)
     x_grid = np.asarray(x_grid, dtype=float)
     if np.any(np.diff(x_grid) <= 0):
@@ -421,19 +372,6 @@ def solve_model_ode(c, v: Callable[[float], float], x_grid,
         acc += integrate(g, x_grid[i - 1], x_grid[i], spec)
         out[i] = acc
     return out * x_grid ** (-cf)
-
-
-def _kernel_support(kernel):
-    """(lo, hi) support of the kernel in the ratio variable s."""
-    if isinstance(kernel, tuple):
-        raise TypeError("wrap plain callables as (f, (lo, hi)) via KernelWindow")
-    if hasattr(kernel, "support"):
-        return kernel.support
-    has_rb = any(t.side == "rb" for t in kernel.terms)
-    has_lb = any(t.side == "lb" for t in kernel.terms)
-    lo = 0.0 if has_rb else 1.0
-    hi = math.inf if has_lb else 1.0
-    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -462,13 +400,14 @@ def convolve_model_kernels(k1, k2, s_grid, spec: QuadratureSpec = DEFAULT_QUAD,
     """Multiplicative convolution (k1 * k2)(s) = int k1(s/t) k2(t) dt/t.
 
     This realizes operator composition on kernels of the ratio variable.
-    The integration range follows the kernel supports; a divergent overlap
-    at t -> 0 or t -> inf (the violated composition condition) raises
-    IntegrabilityError.  If a predicted index set is supplied the samples
-    are fitted against its truncation and a containment report is attached.
+    The integration range follows the kernels' ``support`` and is split at
+    the jumps t = s and t = 1; a divergent overlap at t -> 0 or t -> inf
+    (the violated composition condition) raises IntegrabilityError.  If a
+    predicted index set is supplied the samples are fitted against its
+    truncation and a containment report is attached.
     """
-    lo1, hi1 = _kernel_support(k1)
-    lo2, hi2 = _kernel_support(k2)
+    lo1, hi1 = k1.support
+    lo2, hi2 = k2.support
     s_grid = np.asarray(s_grid, dtype=float)
     values = np.empty_like(s_grid)
     for i, s in enumerate(s_grid):
@@ -482,16 +421,13 @@ def convolve_model_kernels(k1, k2, s_grid, spec: QuadratureSpec = DEFAULT_QUAD,
         def integrand(t, s=s):
             return k1.evaluate(s / t) * k2.evaluate(t) / t
 
-        breakpoints = [p for p in (s, 1.0) if lo < p < hi]
-        if lo == 0.0:
-            values[i] = integrate_from_zero(integrand, hi if math.isfinite(hi) else 1.0, spec)
-            if not math.isfinite(hi):
-                values[i] += integrate_to_inf(integrand, 1.0, spec)
-        elif not math.isfinite(hi):
-            values[i] = integrate(integrand, lo, 1.0 + lo, spec) + \
-                integrate_to_inf(integrand, 1.0 + lo, spec)
-        else:
-            values[i] = integrate(integrand, lo, hi, spec, points=breakpoints)
+        ends = [lo, *sorted(p for p in {s, 1.0} if lo < p < hi), hi]
+        values[i] = sum(
+            integrate_from_zero(integrand, b, spec) if a == 0.0
+            else integrate_to_inf(integrand, a, spec) if b == math.inf
+            else integrate(integrand, a, b, spec)
+            for a, b in zip(ends, ends[1:])
+        )
 
     expansion = None
     report = None

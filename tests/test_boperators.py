@@ -447,6 +447,16 @@ def test_parametrix_split_always_composable():
     assert report.parametrix.E_rb.max_log_power(Fraction(1)) == 3
 
 
+@settings(max_examples=60, deadline=None)
+@given(rational_roots, st.integers(-13, 12), st.integers(0, 4))
+def test_parametrix_never_reaches_the_composition_threshold(roots, k, steps):
+    # an admissible weight gives inf E_rb > -gamma and inf E_lb > gamma, so
+    # every Neumann composition has a positive threshold sum
+    gamma = Fraction(k) + Fraction(1, 1009)  # no root has this real part (denominators <= 8)
+    report = bop.parametrix_indices(op_from(*[[c] for c in _product(roots)]), gamma, steps)
+    assert report.parametrix.order == -sum(roots.values())
+
+
 # -- front-face criterion ----------------------------------------------------------------
 
 

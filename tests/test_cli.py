@@ -261,6 +261,16 @@ def test_malformed_input_is_exit_1(tmp_path, capsys):
         assert time.perf_counter() - start < 2.0, gen
         captured = capsys.readouterr()
         assert captured.out == "" and len(captured.err.strip().splitlines()) == 1, gen
+    # more chains than the budget from a push-forward's scale_down, more faces from -k
+    fam = write(tmp_path, "fam.json", IndexFamily.of({n: SMOOTH for n in ("lb", "rb", "ff")}))
+    big_e = write(tmp_path, "big-e.json", {**geo.halfline_projection(1).to_jsonable(),
+                                           "e": [[100000], [0], [1]]})
+    for argv in (["transport", "pushforward", big_e, fam], ["space", "quadrant", "-k", "14", "-n", "14"]):
+        start = time.perf_counter()
+        assert main(argv) == 1, argv
+        assert time.perf_counter() - start < 0.5, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.strip().splitlines()) == 1, argv
     # values are taken as written: each file below once read as a valid object
     proj = geo.halfline_projection(1).to_jsonable()  # a b-fibration with e = [[1], [0], [1]]
     check = ["map", "check-bfibration", "FILE"]

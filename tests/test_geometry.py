@@ -38,6 +38,12 @@ def test_quadrant_argument_errors():
         geo.model_quadrant(2, 2, ("a",))
 
 
+def test_quadrant_face_budget():
+    assert len(geo.model_quadrant(13, 13).faces) == 2 ** 13
+    with pytest.raises(LatticeError):  # 2^14 faces exceed the budget of 10,000
+        geo.model_quadrant(14, 14)
+
+
 def test_lattice_validation():
     with pytest.raises(LatticeError):
         geo.FaceLattice(2, ("a", "a"), frozenset({frozenset()}))

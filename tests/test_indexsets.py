@@ -175,6 +175,12 @@ def test_shift_and_scale():
     assert scaled.contains(Fraction(3, 2), 0)
 
 
+def test_scale_down_is_bounded_by_its_chain_budget():
+    assert len(S((0, 0), (Fraction(1, 3), 0)).scale_down(5000).generators) == 10_000
+    with pytest.raises(ValueError, match="budget"):
+        SMOOTH.scale_down(10_001)
+
+
 # -- complex exponents ------------------------------------------------------------
 
 

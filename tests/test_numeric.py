@@ -6,8 +6,9 @@ import pytest
 
 from bcalc import boperators as bop
 from bcalc import numeric as num
-from bcalc.errors import ConditioningError, FitRejection, IntegrabilityError
+from bcalc.errors import ConditioningError, FitRejection, IntegrabilityError, QuadratureError
 from bcalc.indexsets import SMOOTH, IndexSet
+from bcalc.rationals import ComplexRational as CR
 
 
 def S(*entries):
@@ -25,6 +26,14 @@ def test_integrate_from_zero_algebraic_singularity():
 def test_integrate_from_zero_detects_divergence():
     with pytest.raises(IntegrabilityError):
         num.integrate_from_zero(lambda t: 1.0 / t, 1.0)
+
+
+def test_integrate_from_zero_refuses_an_unconverged_integrable_endpoint():
+    # int_0^1 t^(-1/2) log^2 t dt = 16; eight subdivisions do not converge, and
+    # the endpoint probe reports a quadrature failure instead of a value
+    with pytest.raises(QuadratureError):
+        num.integrate_from_zero(lambda t: t ** -0.5 * math.log(t) ** 2, 1.0,
+                                num.QuadratureSpec(1e-10, 1e-10, 8))
 
 
 def test_integrate_to_inf():
@@ -146,25 +155,25 @@ def test_fit_recovers_synthetic_expansion():
     data = sum(
         c * grid ** float(z) * logs ** p for (z, p), c in coeffs.items()
     )
-    fit = num.fit_expansion(grid, data, entries, 3)
+    fit = num.fit_expansion(grid, data, S(*entries), 2)
     for (z, p), c in coeffs.items():
         assert fit.coeff(z, p) == pytest.approx(c, abs=1e-8)
 
 
 def test_fit_merges_near_coincident_exponents():
-    entries = [(Fraction(0), 0), (Fraction(1, 1000), 0), (Fraction(1), 0)]
+    candidate = S((Fraction(0), 0), (Fraction(1, 1000), 0))
     grid = num.geometric_grid(0.5, 0.9, 30)
     with pytest.warns(UserWarning, match="merging"):
-        fit = num.fit_expansion(grid, 1.0 + grid, entries, 2)
-    assert len(fit.terms) == 2
+        fit = num.fit_expansion(grid, 1.0 + grid, candidate, 1)
+    assert [(z, p) for z, p, _ in fit.terms] == [(0, 0), (1, 0)]
 
 
 def test_fit_condition_guard():
     # eight exponents 1/50 apart (cond about 6e14 on this grid) exceed the guard
-    entries = [(Fraction(k, 50), 0) for k in range(8)]
+    candidate = S(*[(Fraction(k, 50), 0) for k in range(8)])
     grid = num.geometric_grid(0.5, 0.9, 30)
     with pytest.raises(ConditioningError):
-        num.fit_expansion(grid, 1.0 + grid, entries, 2)
+        num.fit_expansion(grid, 1.0 + grid, candidate, Fraction(7, 50))
 
 
 def test_fit_rejects_wrong_candidate():
@@ -175,10 +184,9 @@ def test_fit_rejects_wrong_candidate():
 
 
 def test_fit_requires_real_exponents():
-    from bcalc.rationals import ComplexRational as CR
     grid = num.geometric_grid(0.5, 0.9, 30)
     with pytest.raises(ValueError):
-        num.fit_expansion(grid, grid, [(CR.of(0, 1), 0)], 2)
+        num.fit_expansion(grid, grid, S((CR.of(0, 1), 0)), 2)
 
 
 def test_fit_coeff_lookup_raises_for_unknown_term():
@@ -191,8 +199,8 @@ def test_fit_coeff_lookup_raises_for_unknown_term():
 def test_compare_with_prediction_flags_extras():
     grid = num.geometric_grid(0.5, 0.9, 50)
     data = np.sqrt(grid)
-    candidate = [(Fraction(1, 2), 0), (Fraction(1), 0)]
-    fit = num.fit_expansion(grid, data, candidate, 2)
+    candidate = S((Fraction(1, 2), 0), (Fraction(1), 0))
+    fit = num.fit_expansion(grid, data, candidate, 1)
     report = num.compare_with_prediction(fit, SMOOTH, 2)
     assert not report["contained"]
     assert (0.5, 0) in report["extra"]
@@ -256,6 +264,51 @@ def test_convolution_divergence_detected_at_threshold():
     grow = num.KernelWindow(lambda t: t ** 0.5, (1.0, math.inf))  # inf E_lb = -1/2
     with pytest.raises(IntegrabilityError):
         num.convolve_model_kernels(k, grow, np.array([0.5]))
+
+
+def _one_term(z, side):
+    return bop.ModelKernel((bop.KernelTerm(CR.of(z), 0, side, CR.of(1)),))
+
+
+def test_kernel_support_follows_term_sides():
+    rb, lb = _one_term(1, "rb"), _one_term(1, "lb")
+    assert rb.support == (0.0, 1.0)
+    assert lb.support == (1.0, math.inf)
+    assert bop.ModelKernel(rb.terms + lb.terms).support == (0.0, math.inf)
+
+
+@pytest.mark.parametrize("a, b", [(Fraction(1, 2), Fraction(1, 2)), (Fraction(3, 2), Fraction(-1, 4)),
+                                  (Fraction(-1, 3), Fraction(2)), (Fraction(1), Fraction(1, 3))])
+def test_lb_rb_convolution_matches_closed_form(a, b):
+    # int_0^min(s,1) (t/s)^a t^b dt/t = s^-a min(s,1)^(a+b) / (a+b)
+    grid = np.geomspace(0.05, 20.0, 15)
+    spec = num.QuadratureSpec(1e-13, 1e-13, 300)
+    out = num.convolve_model_kernels(_one_term(a, "lb"), _one_term(b, "rb"), grid, spec)
+    fa, fb = float(a), float(b)
+    exact = grid ** -fa * np.minimum(grid, 1.0) ** (fa + fb) / (fa + fb)
+    assert np.max(np.abs(out.values - exact)) < 1e-12
+
+
+@pytest.mark.parametrize("a, b", [(Fraction(1, 2), Fraction(-1, 2)), (Fraction(-1), Fraction(1, 2))])
+def test_lb_rb_convolution_diverges_at_the_threshold(a, b):
+    with pytest.raises(IntegrabilityError):
+        num.convolve_model_kernels(_one_term(a, "lb"), _one_term(b, "rb"), np.array([0.5, 2.0]))
+
+
+def test_two_sided_convolution_is_the_sum_of_one_sided_ones():
+    # the model inverse of z^2 - 1 is -e^(-|log s|)/2 on both sides, and its
+    # self-convolution is (1 + |log s|) e^(-|log s|) / 4
+    k = bop.model_inverse(bop.indicial(bop.BDiffOp.from_lists([[-1], [0], [1]])), 0)
+    lb = bop.ModelKernel(tuple(t for t in k.terms if t.side == "lb"))
+    rb = bop.ModelKernel(tuple(t for t in k.terms if t.side == "rb"))
+    grid = np.geomspace(0.1, 10.0, 9)
+    spec = num.QuadratureSpec(1e-12, 1e-12, 300)
+    whole = num.convolve_model_kernels(k, k, grid, spec).values
+    parts = sum(num.convolve_model_kernels(p, q, grid, spec).values
+                for p in (lb, rb) for q in (lb, rb))
+    assert np.max(np.abs(whole - parts)) < 1e-12
+    u = np.abs(np.log(grid))
+    assert np.max(np.abs(whole - (1.0 + u) * np.exp(-u) / 4.0)) < 1e-11
 
 
 # -- chart split -----------------------------------------------------------------------------
