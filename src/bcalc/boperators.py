@@ -417,12 +417,6 @@ class ModelKernel:
     def evaluate(self, s: float) -> float:
         return sum(t.evaluate(s) for t in self.terms).real if self.terms else 0.0
 
-    def index_sets(self) -> tuple:
-        """(E_lb, E_rb) read off the term exponents."""
-        lb = [(t.z, t.p) for t in self.terms if t.side == "lb"]
-        rb = [(t.z, t.p) for t in self.terms if t.side == "rb"]
-        return IndexSet.from_entries(lb), IndexSet.from_entries(rb)
-
     def to_jsonable(self) -> dict:
         return {
             "terms": [
@@ -430,19 +424,6 @@ class ModelKernel:
                 for t in self.terms
             ]
         }
-
-    @classmethod
-    def from_jsonable(cls, data: dict) -> "ModelKernel":
-        terms = tuple(
-            KernelTerm(
-                ComplexRational.from_jsonable(t["z"]),
-                t["p"],
-                t["side"],
-                ComplexRational.from_jsonable(t["coeff"]),
-            )
-            for t in data["terms"]
-        )
-        return cls(terms)
 
 
 def _series_inverse(b, n):
@@ -539,12 +520,14 @@ def model_inverse(ind: IndicialData, gamma) -> ModelKernel:
 @dataclass(frozen=True)
 class ApplyCheckReport:
     max_residual: float
-    x: np.ndarray
-    applied: np.ndarray
-    expected: np.ndarray
 
     def to_jsonable(self):
         return {"max_residual": self.max_residual}
+
+
+#: Most grid points ``apply_check`` will integrate at; the default support
+#: (1, 3) needs 830.
+_GRID_BUDGET = 10_000
 
 
 def apply_check(op: BDiffOp, kernel: ModelKernel, v: Callable[[float], float], support: tuple,
@@ -555,7 +538,9 @@ def apply_check(op: BDiffOp, kernel: ModelKernel, v: Callable[[float], float], s
     applies the operator by log-grid stencils, and reports the maximum
     deviation from v on the trimmed grid.  The grid, geometric over
     [a/2, 2b] with log step about 0.003, balances stencil truncation against
-    quadrature noise amplified by differentiation.
+    quadrature noise amplified by differentiation.  A support that needs
+    more than ``_GRID_BUDGET`` grid points (one quadrature each) is refused
+    with ``ValueError`` before any is built.
     """
     if not op.has_constant_coefficients:
         raise ValueError("apply_check expects a constant-coefficient operator")
@@ -563,7 +548,11 @@ def apply_check(op: BDiffOp, kernel: ModelKernel, v: Callable[[float], float], s
     if not 0 < a < b < math.inf:
         raise ValueError(f"support must satisfy 0 < a < b < inf, got ({a}, {b})")
     lo, hi = a / 2.0, b * 2.0
-    n = int(math.ceil(math.log(hi / lo) / 0.003)) + 1
+    steps = math.log(4.0 * (b / a)) / 0.003  # log(hi / lo) / 0.003, which may be inf
+    if steps > _GRID_BUDGET - 1:
+        raise ValueError(f"support ({a}, {b}) needs more than the budget of "
+                         f"{_GRID_BUDGET} grid points")
+    n = int(math.ceil(steps)) + 1
     x_grid = geometric_grid(hi, (lo / hi) ** (1.0 / (n - 1)), n)
     u = np.empty_like(x_grid)
     for i, x in enumerate(x_grid):
@@ -572,8 +561,7 @@ def apply_check(op: BDiffOp, kernel: ModelKernel, v: Callable[[float], float], s
         )
     x_out, applied = apply_bop_numeric(op, u, x_grid)
     expected = np.array([v(x) for x in x_out])
-    residual = float(np.max(np.abs(applied - expected)))
-    return ApplyCheckReport(residual, x_out, applied, expected)
+    return ApplyCheckReport(float(np.max(np.abs(applied - expected))))
 
 
 # ---------------------------------------------------------------------------
@@ -667,16 +655,21 @@ class ParametrixReport:
         }
 
 
+#: Most Neumann steps ``parametrix_indices`` will take; each adds a log power.
+_STEP_BUDGET = 10_000
+
+
 def parametrix_indices(op: BDiffOp, gamma, steps: int) -> ParametrixReport:
     """Predicted index sets of the Neumann-iterated parametrix.
 
     Step 0 is the small-calculus parametrix (trivial boundary sets, smoothing
     remainder).  Step 1 adds the boundary correction carrying the weight
     split of the spectrum; further steps compose with powers of the
-    remainder, raising log powers through repeated extended unions.
+    remainder, raising log powers through repeated extended unions.  More
+    than ``_STEP_BUDGET`` steps are refused with ``ValueError``.
     """
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
+    if not 0 <= steps <= _STEP_BUDGET:
+        raise ValueError(f"steps must be between 0 and {_STEP_BUDGET}, got {steps}")
     ind = indicial(op)
     m = float(op.order)
     small = FullCalcDescriptor(-m, EMPTY, EMPTY)
@@ -732,8 +725,11 @@ def hs_front_face_criterion(p: Callable[[float, float], float], support_c: float
 
     p must be supported in x <= C, 1/C <= s <= C.  The cutoff phi is a smooth
     plateau with phi(0) = 1.  Norms are accumulated over a geometric ladder of
-    ``_HS_LADDER`` lower cutoffs and regressed against log(1/eps).
+    ``_HS_LADDER`` lower cutoffs and regressed against log(1/eps).  Anything
+    but 0 < eps < C < inf is refused with ``ValueError``.
     """
+    if not 0 < eps < support_c < math.inf:
+        raise ValueError(f"need 0 < eps < support_c < inf, got eps={eps}, support_c={support_c}")
     phi = plateau_cutoff(support_c / 4.0, support_c / 2.0)
 
     def inner(x):

@@ -16,7 +16,7 @@ it from inspection, user-defined maps default to False.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import BMapError, LatticeError
@@ -36,16 +36,11 @@ class FaceLattice:
     taking subsets.  For every lattice built here the codimension of a face
     equals its cardinality; this is validated at construction and used as the
     recorded codimension.
-
-    ``markers`` carries interior p-submanifold annotations (name -> set of
-    bhs it meets); they are metadata only, never lattice members, and do not
-    participate in lattice identity.
     """
 
     dimension: int
     bhs_names: tuple
     faces: frozenset
-    markers: tuple = field(default=(), compare=False)
 
     def __post_init__(self):
         if type(self.dimension) is not int:
@@ -246,7 +241,6 @@ def blow_up_face(base: FaceLattice, center, name: str) -> BlowupRecord:
         dimension=base.dimension,
         bhs_names=base.bhs_names + (name,),
         faces=frozenset(lifted | with_ff),
-        markers=base.markers,
     )
     table = {(g, g): 1 for g in base.bhs_names}
     for h in center:
@@ -256,19 +250,6 @@ def blow_up_face(base: FaceLattice, center, name: str) -> BlowupRecord:
     # them is the codimension condition, which check_b_fibration computes.
     blowdown = BMapDescriptor.from_table(result, base, table, fibration_on_faces=True)
     return BlowupRecord(base, center, result, name, blowdown)
-
-
-def rename_bhs(lattice: FaceLattice, mapping: dict) -> FaceLattice:
-    """Relabel hypersurfaces; pure renaming, the poset is unchanged."""
-    def ren(n):
-        return mapping.get(n, n)
-
-    return FaceLattice(
-        dimension=lattice.dimension,
-        bhs_names=tuple(ren(n) for n in lattice.bhs_names),
-        faces=frozenset(frozenset(ren(n) for n in f) for f in lattice.faces),
-        markers=tuple((m, frozenset(ren(n) for n in f)) for m, f in lattice.markers),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -364,26 +345,15 @@ def x2b() -> BlowupRecord:
 
     The base quadrant has hypersurfaces Hx = {x=0} and Hy = {y=0}; in the
     blown-up lattice the lift of Hx is called lb, the lift of Hy is rb, and
-    the front face is ff.  The lifted diagonal is recorded as the marker
-    Delta_b (it meets only ff).
+    the front face is ff.  The lattice is the blow-up of a quadrant named
+    (lb, rb); the blow-down to (Hx, Hy) is tabulated: lb -> Hx, rb -> Hy,
+    ff -> both.
     """
     base = model_quadrant(2, 2, ("Hx", "Hy"))
-    rec = blow_up_face(base, {"Hx", "Hy"}, "ff")
-    renaming = {"Hx": "lb", "Hy": "rb"}
-    result = rename_bhs(rec.result, renaming)
-    result = FaceLattice(
-        dimension=result.dimension,
-        bhs_names=result.bhs_names,
-        faces=result.faces,
-        markers=(("Delta_b", frozenset({"ff"})),),
-    )
-    blowdown = BMapDescriptor(
-        source=result,
-        target=base,
-        exponents=rec.blowdown.exponents,
-        fibration_on_faces=rec.blowdown.fibration_on_faces,
-    )
-    return BlowupRecord(base, rec.center, result, "ff", blowdown)
+    result = blow_up_face(model_quadrant(2, 2, ("lb", "rb")), {"lb", "rb"}, "ff").result
+    table = {("lb", "Hx"): 1, ("rb", "Hy"): 1, ("ff", "Hx"): 1, ("ff", "Hy"): 1}
+    blowdown = BMapDescriptor.from_table(result, base, table, fibration_on_faces=True)
+    return BlowupRecord(base, frozenset({"Hx", "Hy"}), result, "ff", blowdown)
 
 
 def x2b_lattice() -> FaceLattice:

@@ -263,9 +263,6 @@ class IndexFamily:
                 return s
         raise KeyError(name)
 
-    def shift(self, delta) -> "IndexFamily":
-        return IndexFamily(tuple((n, s.shift(delta)) for n, s in self.sets))
-
     def sum_with(self, other: "IndexFamily") -> "IndexFamily":
         if self.names != other.names:
             raise ValueError("families live on different boundary hypersurface sets")

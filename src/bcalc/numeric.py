@@ -35,8 +35,9 @@ class QuadratureSpec:
     max_depth: int = 200
 
     def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
+            raise ValueError(f"tolerances must be finite and positive, got "
+                             f"abs_tol={self.abs_tol}, rel_tol={self.rel_tol}")
 
 
 DEFAULT_QUAD = QuadratureSpec()
@@ -225,7 +226,6 @@ class PhgExpansion:
     terms: tuple  # ((z, p, coeff), ...) sorted by (z, p)
     fit_residual: float
     decay_estimate: Optional[float]
-    grid_meta: str
 
     def coeff(self, z, p: int) -> float:
         for tz, tp, tc in self.terms:
@@ -320,8 +320,7 @@ def fit_expansion(x, values, candidate: IndexSet, cutoff) -> PhgExpansion:
                 )
 
     terms = tuple((z, p, float(c)) for (z, p), c in zip(merged, coeffs))
-    meta = f"{len(x)} points in [{x.min():.3g}, {x.max():.3g}]"
-    return PhgExpansion(terms, fit_residual, decay, meta)
+    return PhgExpansion(terms, fit_residual, decay)
 
 
 _COEFF_TOL = 1e-6  # fitted coefficients above this count as present

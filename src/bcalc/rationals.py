@@ -10,6 +10,7 @@ codec for a scalar (``ComplexRational.to_jsonable``/``from_jsonable``).
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,14 +24,17 @@ _STR_LIMIT = 4300
 def as_fraction(value) -> Fraction:
     """Coerce an int, Fraction, decimal/ratio string, or float to Fraction.
 
-    Floats are rationalized with denominator bound 1e12; exact inputs stay
-    exact.  A bool is not a number here.  A string longer than ``_STR_LIMIT``
+    Floats are rationalized with denominator bound 1e12, and a float that is
+    not finite is refused with ``ValueError``; exact inputs stay exact.  A
+    bool is not a number here.  A string longer than ``_STR_LIMIT``
     characters, or with a decimal exponent above it in magnitude, is refused
     with ``ValueError`` before ``Fraction`` sees it.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"cannot interpret {value!r} as an exact rational")
         return Fraction(value).limit_denominator(_FLOAT_RATIONALIZE_DEN)
     if isinstance(value, str):
         exponent = re.search(r"[eE]([-+]?[\d_]+)", value)

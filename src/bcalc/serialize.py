@@ -1,6 +1,7 @@
 """JSON schema dispatch for object files.
 
-Every value type carries its own ``to_jsonable``/``from_jsonable``, and a
+Every value type a subcommand reads carries its own
+``to_jsonable``/``from_jsonable`` (a model kernel is only written), and a
 scalar inside one is read by ``ComplexRational.from_jsonable``; this module
 adds schema sniffing so CLI arguments can be plain files of any supported
 kind.  It is also the one place where decoded JSON that cannot be read
@@ -13,7 +14,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .boperators import BDiffOp, FullCalcDescriptor, ModelKernel
+from .boperators import BDiffOp, FullCalcDescriptor
 from .errors import SchemaError
 from .geometry import BMapDescriptor, FaceLattice
 from .indexsets import IndexEntry, IndexFamily, IndexSet
@@ -22,8 +23,6 @@ from .indexsets import IndexEntry, IndexFamily, IndexSet
 def parse_object(data):
     """Detect the schema of a decoded JSON object and build the value."""
     try:
-        if isinstance(data, list):
-            return _parse_entry_list(data)
         if not isinstance(data, dict):
             raise SchemaError(f"cannot interpret {type(data).__name__} as a known object")
         if "generators" in data:
@@ -38,27 +37,16 @@ def parse_object(data):
             return BDiffOp.from_jsonable(data)
         if "E_lb" in data:
             return FullCalcDescriptor.from_jsonable(data)
-        if "terms" in data:
-            return ModelKernel.from_jsonable(data)
-        if "entries" in data:
-            return _parse_entry_list(data["entries"])
+        if "entries" in data:  # a raw entry list, as ``indexset complete`` reads it
+            entries = data["entries"]
+            if not isinstance(entries, list):
+                raise SchemaError(f"an entry list must be a list, got {entries!r}")
+            return tuple(IndexEntry.from_jsonable(e) for e in entries)
         raise SchemaError(f"unrecognized object with keys {sorted(data)}")
     except SchemaError:
         raise
     except (KeyError, TypeError, AttributeError, ValueError, ArithmeticError) as exc:
         raise SchemaError(f"unreadable object ({type(exc).__name__}: {exc})") from exc
-
-
-def _parse_entry_list(items):
-    """Entries as objects ``{"re", "im"?, "p"}`` or lists ``[z, p]``/``[re, im, p]``."""
-    if not isinstance(items, list):
-        raise SchemaError(f"an entry list must be a list, got {items!r}")
-    entries = []
-    for item in items:
-        if isinstance(item, list) and len(item) in (2, 3):
-            item = {"re": item[0], "im": item[1] if len(item) == 3 else 0, "p": item[-1]}
-        entries.append(IndexEntry.from_jsonable(item))
-    return tuple(entries)
 
 
 def load_object(path):

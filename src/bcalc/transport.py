@@ -136,18 +136,3 @@ def push_forward_family(f: BMapDescriptor, family: IndexFamily) -> TransportRepo
         )
     return _push_forward(f, family, lambda totals: IndexFamily.of(totals, f.target))
 
-
-def b_density_shift(obj, direction: str):
-    """Translate index sets between plain-density and b-density bookkeeping.
-
-    Writing u dx dy = (xy u) dx/x dy/y shifts every index set up by one per
-    hypersurface; ``to_b`` applies +1, ``from_b`` applies -1.  Works on an
-    IndexSet or a whole IndexFamily.
-    """
-    if direction == "to_b":
-        delta = 1
-    elif direction == "from_b":
-        delta = -1
-    else:
-        raise ValueError("direction must be 'to_b' or 'from_b'")
-    return obj.shift(delta)

@@ -49,6 +49,9 @@ def test_kernel_term_validation():
     for side in ("up", "", None, ["rb"]):
         with pytest.raises(ValueError):
             bop.KernelTerm(CR.of(1), 0, side, CR.of(1))
+    for p in (-1, 1.0, True, [1]):
+        with pytest.raises(ValueError):
+            bop.KernelTerm(CR.of(1), p, "lb", CR.of(1))
 
 
 def test_indicial_requires_boundary_ellipticity():
@@ -199,8 +202,6 @@ def test_model_kernel_first_order():
     assert kernel.terms == (bop.KernelTerm(CR.of(c), 0, "rb", CR.of(1)),)
     assert kernel.evaluate(0.25) == pytest.approx(0.5)
     assert kernel.evaluate(2.0) == 0.0
-    e_lb, e_rb = kernel.index_sets()
-    assert e_lb == EMPTY and e_rb == S((c, 0))
 
 
 def test_model_kernel_complex_coefficient():
@@ -317,12 +318,6 @@ def test_mixed_roots_partial_fractions_match_mpmath_residues():
 def test_model_inverse_rejects_weight_on_root():
     with pytest.raises(InadmissibleWeight):
         bop.model_inverse(bop.indicial(op_from([1], [1])), -1)
-
-
-def test_kernel_json_roundtrip():
-    kernel = bop.model_inverse(bop.indicial(op_from([-1], [0], [1])), 0)
-    again = bop.ModelKernel.from_jsonable(json.loads(json.dumps(kernel.to_jsonable())))
-    assert again == kernel
 
 
 # -- apply_check ----------------------------------------------------------------------
@@ -445,6 +440,15 @@ def test_parametrix_split_always_composable():
     report = bop.parametrix_indices(op, 0, 4)
     assert report.parametrix.E_lb.max_log_power(Fraction(1, 2)) == 3
     assert report.parametrix.E_rb.max_log_power(Fraction(1)) == 3
+
+
+def test_parametrix_steps_are_bounded():
+    # every step adds a log power and a line to the report
+    op = op_from([Fraction(-1, 4)], [0], [1])  # (x d/dx)^2 - 1/4
+    with pytest.raises(ValueError, match="10000"):
+        bop.parametrix_indices(op, 0, 10_001)
+    with pytest.raises(ValueError):
+        bop.parametrix_indices(op, 0, -1)
 
 
 @settings(max_examples=60, deadline=None)

@@ -65,6 +65,11 @@ def test_indexset_complete_and_inf(tmp_path, capsys):
     assert code == 0
     gens = json.loads(out)["generators"]
     assert [(g["re"], g["p"]) for g in gens] == [("-1", 0), ("0", 1)]
+    # entries are objects inside {"entries": ...}: no bare list, no [z, p] items
+    for data in ([{"re": "-1", "p": 0}], {"entries": [["-1", 0]]}, {"entries": [["-1", "0", 0]]}):
+        raw.write_text(json.dumps(data))
+        assert main(["indexset", "complete", str(raw)]) == 1, data
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1, data
 
     empty = write(tmp_path, "empty.json", EMPTY)
     code, out = run(capsys, "--json", "indexset", "inf", empty)
@@ -233,15 +238,12 @@ def test_malformed_input_is_exit_1(tmp_path, capsys):
         "zero-den.json": {"generators": [{"re": "1/0", "im": "0", "p": 0}]},
         "kernel.json": kernel,
         "bad-scalar.json": {"coeffs": [[{"im": "1"}], [[1]]]},
-        "terms-not-a-list.json": {"terms": 5},
         "coeffs-not-a-list.json": {"coeffs": 5},
         "assignment-int.json": {"assignment": 5},
         "assignment-set-int.json": {"assignment": {"H": 5}},
         "bhs-int.json": {"bhs": 5, "dim": 1, "faces": []},
         "map-ints.json": {"e": 5, "source": 5},
         "order-list.json": {"order": [], "E_lb": {"generators": []}, "E_rb": {"generators": []}},
-        "kernel-p-list.json": {"terms": [{"side": "lb", "z": "1", "p": [1], "coeff": "1"}]},
-        "kernel-side.json": {"terms": [{"side": "up", "z": "1", "p": 0, "coeff": "1"}]},
         "trunc-str.json": {"coeffs": [["1"], ["1"]], "trunc": "x"},
         "trunc-float.json": {"coeffs": [["1"], ["1"]], "trunc": 1.7},
         "trunc-bool.json": {"coeffs": [["1"], ["1"]], "trunc": True},
@@ -293,9 +295,21 @@ def test_malformed_input_is_exit_1(tmp_path, capsys):
         assert captured.out == "", name
         assert len(captured.err.strip().splitlines()) == 1, name
     op = write(tmp_path, "op.json", bop.BDiffOp.from_lists([[1], [1]]))
-    for support in (["0", "1"], ["3", "1"], ["1", "1"], ["1", "inf"]):
-        assert main(["op", "apply-check", op, "--support", *support]) == 1, support
-        assert len(capsys.readouterr().err.strip().splitlines()) == 1, support
+    # numeric flags out of range, refused before any quadrature: a support
+    # wider than the grid budget, a cutoff outside (0, support_c), a tolerance
+    # that is not finite and positive, more Neumann steps than the budget
+    numeric_flags = [["op", "apply-check", op, "--support", *support] for support in (
+        ["0", "1"], ["3", "1"], ["1", "1"], ["1", "inf"], ["1e-300", "1e300"], ["1e-100", "1e100"])]
+    numeric_flags += [["op", "hs", *flag] for flag in (
+        ["--eps", "nan"], ["--eps", "0"], ["--eps", "-1"], ["--eps", "4"],
+        ["--tol", "nan"], ["--tol", "inf"], ["--tol", "0"])]
+    numeric_flags += [["op", "parametrix", op, "--steps", "1000000"]]
+    for argv in numeric_flags:
+        start = time.perf_counter()
+        assert main(argv) == 1, argv
+        assert time.perf_counter() - start < 0.5, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.strip().splitlines()) == 1, argv
     for argv in (["op", "split", op, "--gamma", "1/0"],
                  ["op", "split", op, "--gamma", "1e10000000"],
                  ["indexset", "truncate", smooth, "--truncate", "1/0"],
@@ -415,7 +429,6 @@ def test_demo_script_runs():
 def test_load_object_detects_types(tmp_path):
     for obj in (SMOOTH, geo.x2b_lattice(), geo.x2b_blowdown(),
                 bop.BDiffOp.from_lists([[1], [1]]),
-                bop.FullCalcDescriptor(0.0, EMPTY, SMOOTH),
-                bop.model_inverse(bop.indicial(bop.BDiffOp.from_lists([[1], [1]])), 0)):
+                bop.FullCalcDescriptor(0.0, EMPTY, SMOOTH)):
         path = write(tmp_path, "obj.json", obj)
         assert type(load_object(path)) is type(obj)

@@ -260,8 +260,3 @@ def test_compose_flag_needs_both_flags_and_codim():
     assert not geo.compose(pi3, bd).fibration_on_faces
     proj1 = geo.halfline_projection(1)
     assert geo.compose(pi3, proj1).fibration_on_faces
-
-
-def test_delta_b_marker_on_kernel_space():
-    lat = geo.x2b_lattice()
-    assert dict(lat.markers)["Delta_b"] == frozenset({"ff"})

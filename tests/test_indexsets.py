@@ -96,6 +96,15 @@ def test_truncate_is_bounded_by_its_member_budget():
     assert len(S((-9990, 0)).truncate(Fraction(-1, 2))) == 9990
 
 
+def test_non_finite_bounds_and_scalars_are_refused():
+    # no Fraction stands for a non-finite float, so it is bad input, not an overflow
+    for value in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            CR.of(value)
+        with pytest.raises(ValueError):
+            SMOOTH.truncate(value)
+
+
 def test_scalar_strings_are_bounded():
     assert CR.of("1e4300").re == 10**4300
     assert CR.of("1" * 4300).re == int("1" * 4300)
@@ -334,8 +343,9 @@ def test_family_validates_lattice_names():
 def test_family_shift_and_sum():
     lat = model_quadrant(2, 2, ("Hx", "Hy"))
     fam = IndexFamily.of({"Hx": S((1, 0)), "Hy": SMOOTH}, lat)
-    shifted = fam.shift(1)
-    assert shifted["Hx"] == S((2, 0))
+    # a shift by one is a sum with {(1, 0)}+N0 on every hypersurface
+    ones = IndexFamily.of({"Hx": SMOOTH.shift(1), "Hy": SMOOTH.shift(1)}, lat)
+    assert fam.sum_with(ones)["Hx"] == fam["Hx"].shift(1) == S((2, 0))
     both = fam.sum_with(fam)
     assert both["Hx"] == S((2, 0))
     assert both["Hy"] == SMOOTH

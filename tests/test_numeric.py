@@ -43,8 +43,11 @@ def test_integrate_to_inf():
 
 
 def test_quadrature_spec_validation():
-    with pytest.raises(ValueError):
-        num.QuadratureSpec(abs_tol=0.0)
+    for tol in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            num.QuadratureSpec(abs_tol=tol)
+        with pytest.raises(ValueError):
+            num.QuadratureSpec(rel_tol=tol)
 
 
 # -- geometric grids and operator application ----------------------------------------
@@ -264,6 +267,13 @@ def test_convolution_divergence_detected_at_threshold():
     grow = num.KernelWindow(lambda t: t ** 0.5, (1.0, math.inf))  # inf E_lb = -1/2
     with pytest.raises(IntegrabilityError):
         num.convolve_model_kernels(k, grow, np.array([0.5]))
+
+
+def test_convolution_against_the_empty_set_needs_a_finite_cutoff():
+    # the default cutoff inf E + 3 is +inf for the empty set, which no truncation takes
+    k = bop.model_inverse(bop.indicial(bop.BDiffOp.from_lists([[1], [1]])), 0)
+    with pytest.raises(ValueError, match="inf"):
+        num.convolve_model_kernels(k, k, np.array([0.5]), predicted=IndexSet())
 
 
 def _one_term(z, side):

@@ -221,20 +221,6 @@ def test_pushforward_functorial_on_permutations():
     assert combined.result == staged.result
 
 
-# -- density bookkeeping ---------------------------------------------------------------
-
-
-def test_density_shift_directions():
-    lat = geo.model_quadrant(2, 2, ("Hx", "Hy"))
-    fam = IndexFamily.of({"Hx": SMOOTH, "Hy": SMOOTH}, lat)
-    as_b = transport.b_density_shift(fam, "to_b")
-    assert as_b["Hx"] == S((1, 0))
-    assert transport.b_density_shift(as_b, "from_b") == fam
-    assert as_b["Hx"].inf_re() == fam["Hx"].inf_re() + 1
-    with pytest.raises(ValueError):
-        transport.b_density_shift(fam, "sideways")
-
-
 # -- symbolic prediction against the quadrature oracle -----------------------------------
 
 
