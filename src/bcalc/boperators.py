@@ -170,17 +170,22 @@ def _squarefree_roots(factor):
     rational exactly verified against the polynomial; unverifiable roots stay
     numeric (marked inexact).  A candidate is only tried when it is closer to
     its eigenvalue than half the distance to the nearest other eigenvalue,
-    so it cannot be a neighbouring root of the same factor.
+    so it cannot be a neighbouring root of the same factor.  A factor with a
+    coefficient beyond the float range is refused with ``ValueError``.
     """
     deg = _pdeg(factor)
     if deg == 1:
         return [(-factor[0] / factor[1], True)]
-    if all(c.is_real for c in factor):
-        # real companion matrix: exact double roots stay real instead of
-        # splitting into a conjugate pair at ~sqrt(machine eps)
-        numeric = np.roots([float(c.re) for c in reversed(factor)])
-    else:
-        numeric = np.roots([c.as_complex() for c in reversed(factor)])
+    try:
+        if all(c.is_real for c in factor):
+            # real companion matrix: exact double roots stay real instead of
+            # splitting into a conjugate pair at ~sqrt(machine eps)
+            numeric = np.roots([float(c.re) for c in reversed(factor)])
+        else:
+            numeric = np.roots([c.as_complex() for c in reversed(factor)])
+    except OverflowError:
+        raise ValueError(f"a coefficient of the degree-{deg} indicial factor is "
+                         f"too large for the float root finder") from None
     out = []
     for i, r in enumerate(numeric):
         radius = min(abs(r - s) for j, s in enumerate(numeric) if j != i) / 2
@@ -540,10 +545,15 @@ def apply_check(op: BDiffOp, kernel: ModelKernel, v: Callable[[float], float], s
     [a/2, 2b] with log step about 0.003, balances stencil truncation against
     quadrature noise amplified by differentiation.  A support that needs
     more than ``_GRID_BUDGET`` grid points (one quadrature each) is refused
-    with ``ValueError`` before any is built.
+    with ``ValueError`` before any is built.  Like the rest of the numeric
+    oracle the check is real-only: an operator with a non-real coefficient
+    is refused with ``ValueError``, since ``ModelKernel.evaluate`` keeps only
+    the real part of the kernel.
     """
     if not op.has_constant_coefficients:
         raise ValueError("apply_check expects a constant-coefficient operator")
+    if not all(c.is_real for s in op.coeffs for c in s):
+        raise ValueError("apply_check expects real coefficients; a complex kernel stays symbolic")
     a, b = support
     if not 0 < a < b < math.inf:
         raise ValueError(f"support must satisfy 0 < a < b < inf, got ({a}, {b})")
@@ -717,6 +727,11 @@ class HsReport:
 
 
 _HS_LADDER = 4  # lower cutoffs eps, eps/10, ... in the slope regression
+#: Largest accepted support_c.  Even in u = log s, QUADPACK's samples over
+#: [0, log C] grow sparse near s = 1: for the unit-width bump the ds/s
+#: integral reads 0.29 instead of 0.51 from about C = 1e85, and the whole
+#: probe stops converging at its default tolerance from about C = 1e15.
+_HS_MAX_C = 1e10
 
 
 def hs_front_face_criterion(p: Callable[[float, float], float], support_c: float, eps: float,
@@ -725,17 +740,21 @@ def hs_front_face_criterion(p: Callable[[float, float], float], support_c: float
 
     p must be supported in x <= C, 1/C <= s <= C.  The cutoff phi is a smooth
     plateau with phi(0) = 1.  Norms are accumulated over a geometric ladder of
-    ``_HS_LADDER`` lower cutoffs and regressed against log(1/eps).  Anything
-    but 0 < eps < C < inf is refused with ``ValueError``.
+    ``_HS_LADDER`` lower cutoffs and regressed against log(1/eps).  The ds/s
+    integrals run in u = log s, split at s = 1, so a wide C still samples
+    the kernel near s = 1.  Anything but 0 < eps < C <= ``_HS_MAX_C`` is
+    refused with ``ValueError``.
     """
-    if not 0 < eps < support_c < math.inf:
-        raise ValueError(f"need 0 < eps < support_c < inf, got eps={eps}, support_c={support_c}")
+    if not 0 < eps < support_c <= _HS_MAX_C:
+        raise ValueError(f"need 0 < eps < support_c <= {_HS_MAX_C:g}, "
+                         f"got eps={eps}, support_c={support_c}")
     phi = plateau_cutoff(support_c / 4.0, support_c / 2.0)
+    log_c = math.log(support_c)
 
     def inner(x):
-        return integrate(
-            lambda s: (phi(x) * p(x, s)) ** 2 / s, 1.0 / support_c, support_c, spec
-        )
+        def f(u):
+            return (phi(x) * p(x, math.exp(u))) ** 2
+        return integrate(f, -log_c, 0.0, spec) + integrate(f, 0.0, log_c, spec)
 
     eps_list = [eps * 10.0 ** (-k) for k in range(_HS_LADDER)]
     norms = []
@@ -745,7 +764,4 @@ def hs_front_face_criterion(p: Callable[[float, float], float], support_c: float
         total += integrate(lambda x: inner(x) / x, e_next, e_prev, spec)
         norms.append(total)
     slope, _ = np.polyfit([math.log(1.0 / e) for e in eps_list], norms, 1)
-    reference = integrate(
-        lambda s: (phi(0.0) * p(0.0, s)) ** 2 / s, 1.0 / support_c, support_c, spec
-    )
-    return HsReport(float(slope), reference, tuple(eps_list), tuple(norms))
+    return HsReport(float(slope), inner(0.0), tuple(eps_list), tuple(norms))

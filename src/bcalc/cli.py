@@ -2,6 +2,10 @@
 
 Objects live in JSON files (schemas per module); subcommands run the
 calculus operations and print deterministic text or JSON reports.
+``_ACTIONS`` is the one declaration of what each action takes: its
+handler, the kind of each file it reads, and the flags it reads.  The
+parser is built from it, so a wrong number of files or a flag the action
+does not read is a usage error; ``--json`` is accepted anywhere.
 Exit codes: 0 success, 1 malformed input (unreadable files or flags, usage
 errors), 2 violated theorem hypothesis (integrability, b-fibration,
 composition condition, inadmissible weight), 3 numeric failure (quadrature,
@@ -43,13 +47,6 @@ def _emit(args, payload, text_lines):
             print(line)
 
 
-def _need_files(args, n: int) -> None:
-    if len(args.files) != n:
-        raise ValueError(
-            f"'{args.action}' expects {n} file argument(s), got {len(args.files)}"
-        )
-
-
 def _entry_text(e):
     z = str(e.z)
     return f"  z = {z:<12} p = {e.p}"
@@ -63,64 +60,66 @@ def _set_report(s: IndexSet, bound):
     lines += [_entry_text(e) for e in members] or ["  (none)"]
     payload = dict(s.to_jsonable())
     payload["truncation"] = [e.to_jsonable() for e in members]
-    return payload, lines
+    return payload, lines, 0
 
+
+# Each handler takes the parsed flags and the objects read from its files,
+# in the order and of the kinds its ``_ACTIONS`` entry declares, and returns
+# (payload, text lines, exit code).
 
 # -- indexset ---------------------------------------------------------------
 
 
-def _cmd_indexset(args):
-    if args.action in ("complete", "inf", "truncate"):
-        _need_files(args, 1)
-    else:
-        _need_files(args, 2)
-    if args.action == "complete":
-        entries = load_object(args.files[0])
-        if isinstance(entries, IndexSet):
-            entries = entries.sorted_generators()
-        result = complete(entries)
-        return _set_report(result, args.truncate) + (0,)
-    first = load_typed(args.files[0], IndexSet)
-    if args.action == "inf":
-        v = first.inf_re()
-        text = "inf Re z = " + ("+inf" if v == float("inf") else str(v))
-        return {"inf": "+inf" if v == float("inf") else str(v)}, [text], 0
-    if args.action == "truncate":
-        return _set_report(first, args.truncate) + (0,)
-    second = load_typed(args.files[1], IndexSet)
-    result = {
-        "union": first.union,
-        "extunion": first.extended_union,
-        "sum": first.sum_with,
-    }[args.action](second)
-    return _set_report(result, args.truncate) + (0,)
+def _set_operation(method):
+    def handler(args, first, second):
+        return _set_report(getattr(first, method)(second), args.truncate)
+    return handler
+
+
+def _indexset_complete(args, entries):
+    if isinstance(entries, IndexSet):
+        entries = entries.sorted_generators()
+    return _set_report(complete(entries), args.truncate)
+
+
+def _indexset_inf(args, s):
+    v = s.inf_re()
+    text = "+inf" if v == float("inf") else str(v)
+    return {"inf": text}, [f"inf Re z = {text}"], 0
+
+
+def _indexset_truncate(args, s):
+    return _set_report(s, args.truncate)
 
 
 # -- space ------------------------------------------------------------------
 
 
-def _cmd_space(args):
-    if args.action == "quadrant":
-        names = tuple(args.names.split(",")) if args.names else None
-        lat = geo.model_quadrant(args.k, args.n, names)
-        payload = lat.to_jsonable()
-        lines = [f"quadrant: {args.k} boundary hypersurfaces in dimension {args.n}",
-                 f"bhs: {', '.join(lat.bhs_names)}",
-                 f"faces: {payload['faces']}"]
-        return payload, lines, 0
-    if args.action == "blowup":
-        lat = load_typed(args.lattice, geo.FaceLattice)
-        rec = geo.blow_up_face(lat, args.center.split(","), args.name)
-        payload = {
-            "center": sorted(rec.center),
-            "front_face": rec.front_face_name,
-            "result": rec.result.to_jsonable(),
-            "blowdown": rec.blowdown.to_jsonable(),
-        }
-        lines = [f"blew up {sorted(rec.center)} -> front face {rec.front_face_name}",
-                 f"result bhs: {', '.join(rec.result.bhs_names)}",
-                 f"faces: {payload['result']['faces']}"]
-        return payload, lines, 0
+def _space_quadrant(args):
+    names = tuple(args.names.split(",")) if args.names else None
+    lat = geo.model_quadrant(args.k, args.n, names)
+    payload = lat.to_jsonable()
+    lines = [f"quadrant: {args.k} boundary hypersurfaces in dimension {args.n}",
+             f"bhs: {', '.join(lat.bhs_names)}",
+             f"faces: {payload['faces']}"]
+    return payload, lines, 0
+
+
+def _space_blowup(args, lat):
+    rec = geo.blow_up_face(lat, args.center.split(","), args.name)
+    payload = {
+        "center": sorted(rec.center),
+        "front_face": rec.front_face_name,
+        "result": rec.result.to_jsonable(),
+        "blowdown": rec.blowdown.to_jsonable(),
+    }
+    lines = [f"blew up {sorted(rec.center)} -> front face {rec.front_face_name}",
+             f"result bhs: {', '.join(rec.result.bhs_names)}",
+             f"faces: {payload['result']['faces']}"]
+    return payload, lines, 0
+
+
+def _space_triple(args):
     lattice, _records = geo.triple_b_space()
     payload = {
         "lattice": lattice.to_jsonable(),
@@ -137,22 +136,22 @@ def _cmd_space(args):
 # -- map ---------------------------------------------------------------------
 
 
-def _cmd_map(args):
-    _need_files(args, 2 if args.action == "compose" else 1)
-    if args.action == "compose":
-        f = load_typed(args.files[0], geo.BMapDescriptor)
-        g = load_typed(args.files[1], geo.BMapDescriptor)
-        c = geo.compose(f, g)
-        lines = ["exponent matrix rows (source bhs) x columns (target bhs):"]
-        for name, row in zip(c.source.bhs_names, c.exponents):
-            lines.append(f"  {name:<6} {list(row)}")
-        return c.to_jsonable(), lines, 0
-    f = load_typed(args.files[0], geo.BMapDescriptor)
-    if args.action == "facemap":
-        face = [] if args.face in ("", "-") else args.face.split(",")
-        image = geo.induced_face_map(f, face)
-        payload = {"face": sorted(face), "image": sorted(image)}
-        return payload, [f"{sorted(face)} -> {sorted(image)}"], 0
+def _map_compose(args, f, g):
+    c = geo.compose(f, g)
+    lines = ["exponent matrix rows (source bhs) x columns (target bhs):"]
+    for name, row in zip(c.source.bhs_names, c.exponents):
+        lines.append(f"  {name:<6} {list(row)}")
+    return c.to_jsonable(), lines, 0
+
+
+def _map_facemap(args, f):
+    face = [] if args.face in ("", "-") else args.face.split(",")
+    image = geo.induced_face_map(f, face)
+    payload = {"face": sorted(face), "image": sorted(image)}
+    return payload, [f"{sorted(face)} -> {sorted(image)}"], 0
+
+
+def _map_check_bfibration(args, f):
     report = geo.check_b_fibration(f)
     lines = [f"codimension condition: {'ok' if report.codim_ok else 'VIOLATED'}"]
     if report.violating_faces:
@@ -173,12 +172,12 @@ def _family_lines(fam: IndexFamily):
     return lines
 
 
-def _cmd_transport(args):
-    f = load_typed(args.files[0], geo.BMapDescriptor)
-    fam = load_typed(args.files[1], IndexFamily)
-    if args.action == "pullback":
-        result = transport.pull_back_family(f, fam)
-        return result.to_jsonable(), ["pulled-back family:"] + _family_lines(result), 0
+def _transport_pullback(args, f, fam):
+    result = transport.pull_back_family(f, fam)
+    return result.to_jsonable(), ["pulled-back family:"] + _family_lines(result), 0
+
+
+def _transport_pushforward(args, f, fam):
     if len(f.target.bhs_names) == 1:
         report = transport.push_forward_halfline(f, fam)
         lines = ["push-forward index set:"]
@@ -195,67 +194,67 @@ def _cmd_transport(args):
 # -- op ------------------------------------------------------------------------
 
 
-def _cmd_op(args):
-    expected = {"specb": 1, "split": 1, "inverse": 1, "apply-check": 1,
-                "compose": 2, "action": 2, "parametrix": 1, "hs": 0}
-    _need_files(args, expected[args.action])
-    if args.action == "specb":
-        op = load_typed(args.files[0], bop.BDiffOp)
-        ind = bop.indicial(op)
-        payload = {
-            "polynomial": [str(c) for c in ind.polynomial],
-            "roots": [
-                {"z": str(r.value), "multiplicity": r.multiplicity, "exact": r.exact}
-                for r in ind.roots
-            ],
-            "spec_b": [e.to_jsonable() for e in ind.spec_b],
-        }
-        lines = ["boundary spectrum:"] + [_entry_text(e) for e in ind.spec_b]
-        return payload, lines, 0
-    if args.action == "split":
-        op = load_typed(args.files[0], bop.BDiffOp)
-        e_lb, e_rb = bop.split_spec(bop.indicial(op), args.gamma)
-        payload = {"E_lb": e_lb.to_jsonable(), "E_rb": e_rb.to_jsonable()}
-        lines = [f"E_lb = {e_lb}", f"E_rb = {e_rb}"]
-        return payload, lines, 0
-    if args.action == "inverse":
-        op = load_typed(args.files[0], bop.BDiffOp)
-        kernel = bop.model_inverse(bop.indicial(op), args.gamma)
-        lines = ["model kernel terms (s = ratio variable):"]
-        for t in kernel.terms:
-            lines.append(f"  side={t.side} z={t.z} p={t.p} coeff={t.coeff}")
-        return kernel.to_jsonable(), lines, 0
-    if args.action == "apply-check":
-        op = load_typed(args.files[0], bop.BDiffOp)
-        kernel = bop.model_inverse(bop.indicial(op), args.gamma)
-        a, b = args.support
-        v = num.smooth_bump((a + b) / 2.0, (b - a) / 2.0)
-        report = bop.apply_check(
-            op, kernel, v, (a, b), spec=num.QuadratureSpec(args.tol, args.tol, 300)
-        )
-        line = f"max residual of P(Kv) - v: {report.max_residual:.12g}"
-        return report.to_jsonable(), [line], 0
-    if args.action == "compose":
-        p = load_typed(args.files[0], bop.FullCalcDescriptor)
-        q = load_typed(args.files[1], bop.FullCalcDescriptor)
-        c = bop.compose_descriptors(p, q)
-        lines = [f"order {c.order}", f"E_lb = {c.E_lb}", f"E_rb = {c.E_rb}"]
-        return c.to_jsonable(), lines, 0
-    if args.action == "action":
-        p = load_typed(args.files[0], bop.FullCalcDescriptor)
-        f_set = load_typed(args.files[1], IndexSet)
-        result = bop.action_index(p, f_set)
-        return _set_report(result, args.truncate) + (0,)
-    if args.action == "parametrix":
-        op = load_typed(args.files[0], bop.BDiffOp)
-        report = bop.parametrix_indices(op, args.gamma, args.steps)
-        lines = [
-            f"parametrix: order {report.parametrix.order}, "
-            f"E_lb = {report.parametrix.E_lb}, E_rb = {report.parametrix.E_rb}",
-            f"remainder: E_lb = {report.remainder.E_lb}, E_rb = {report.remainder.E_rb}",
-        ]
-        return report.to_jsonable(), lines, 0
-    # hs
+def _op_specb(args, op):
+    ind = bop.indicial(op)
+    payload = {
+        "polynomial": [str(c) for c in ind.polynomial],
+        "roots": [
+            {"z": str(r.value), "multiplicity": r.multiplicity, "exact": r.exact}
+            for r in ind.roots
+        ],
+        "spec_b": [e.to_jsonable() for e in ind.spec_b],
+    }
+    lines = ["boundary spectrum:"] + [_entry_text(e) for e in ind.spec_b]
+    return payload, lines, 0
+
+
+def _op_split(args, op):
+    e_lb, e_rb = bop.split_spec(bop.indicial(op), args.gamma)
+    payload = {"E_lb": e_lb.to_jsonable(), "E_rb": e_rb.to_jsonable()}
+    lines = [f"E_lb = {e_lb}", f"E_rb = {e_rb}"]
+    return payload, lines, 0
+
+
+def _op_inverse(args, op):
+    kernel = bop.model_inverse(bop.indicial(op), args.gamma)
+    lines = ["model kernel terms (s = ratio variable):"]
+    for t in kernel.terms:
+        lines.append(f"  side={t.side} z={t.z} p={t.p} coeff={t.coeff}")
+    return kernel.to_jsonable(), lines, 0
+
+
+def _op_apply_check(args, op):
+    kernel = bop.model_inverse(bop.indicial(op), args.gamma)
+    a, b = args.support
+    v = num.smooth_bump((a + b) / 2.0, (b - a) / 2.0)
+    report = bop.apply_check(
+        op, kernel, v, (a, b), spec=num.QuadratureSpec(args.tol, args.tol, 300)
+    )
+    line = f"max residual of P(Kv) - v: {report.max_residual:.12g}"
+    return report.to_jsonable(), [line], 0
+
+
+def _op_compose(args, p, q):
+    c = bop.compose_descriptors(p, q)
+    lines = [f"order {c.order}", f"E_lb = {c.E_lb}", f"E_rb = {c.E_rb}"]
+    return c.to_jsonable(), lines, 0
+
+
+def _op_action(args, p, f_set):
+    return _set_report(bop.action_index(p, f_set), args.truncate)
+
+
+def _op_parametrix(args, op):
+    report = bop.parametrix_indices(op, args.gamma, args.steps)
+    lines = [
+        f"parametrix: order {report.parametrix.order}, "
+        f"E_lb = {report.parametrix.E_lb}, E_rb = {report.parametrix.E_rb}",
+        f"remainder: E_lb = {report.remainder.E_lb}, E_rb = {report.remainder.E_rb}",
+    ]
+    return report.to_jsonable(), lines, 0
+
+
+def _op_hs(args):
     bump = num.smooth_bump(1.0, 0.5)
     kernels = {
         "bump": lambda x, s: bump(s),
@@ -276,7 +275,7 @@ def _cmd_op(args):
 # -- verify ----------------------------------------------------------------------
 
 
-def _cmd_verify(args):
+def _verify(args):
     results = verify_mod.run_suite(args.suite)
     lines = [r.line() for r in results]
     passed = sum(r.passed for r in results)
@@ -310,87 +309,91 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
 
 
-def _add_common_flags(parser, root: bool) -> None:
-    # real defaults live on the root parser; subparsers use SUPPRESS so a
-    # trailing flag overrides without clobbering a leading one
-    def d(value):
-        return value if root else argparse.SUPPRESS
+_FLAGS = {
+    "--truncate": dict(type=_rational, default=Fraction(10),
+                       help="Re z bound for printed truncations (default 10)"),
+    "--tol": dict(type=float, default=1e-8, help="quadrature tolerance (default 1e-8)"),
+    "--gamma": dict(type=_rational, default=Fraction(0), help="weight parameter (rational)"),
+    "--steps": dict(type=int, default=1, help="parametrix iteration count"),
+    "--support": dict(type=float, nargs=2, default=(1.0, 3.0), help="test-function support"),
+    "--kernel": dict(choices=["bump", "x-bump", "zero"], default="bump", help="built-in kernel"),
+    "--support-c": dict(type=float, default=4.0),
+    "--eps": dict(type=float, default=1e-3),
+    "-k": dict(type=int, required=True),
+    "-n": dict(type=int, required=True),
+    "--names": dict(help="comma-separated bhs names"),
+    "--center": dict(required=True, help="comma-separated bhs names"),
+    "--name": dict(required=True, help="front face name"),
+    "--face": dict(default="", help="comma-separated bhs names"),
+    "--suite": dict(default="all", choices=sorted(verify_mod.SUITES)),
+}
 
-    parser.add_argument("--truncate", type=_rational, default=d(Fraction(10)),
-                        help="Re z bound for printed truncations (default 10)")
-    parser.add_argument("--tol", type=float, default=d(1e-8),
-                        help="numeric tolerance for checks (default 1e-8)")
-    parser.add_argument("--json", action="store_true",
-                        default=d(False), help="machine-readable output")
+_COMMANDS = {
+    "indexset": "index-set algebra",
+    "space": "model corners and blow-ups",
+    "map": "b-map descriptors",
+    "transport": "index transport theorems",
+    "op": "half-line operator calculus",
+    "verify": "run the verification suite",
+}
+
+_SET, _MAP, _OP, _DESC = IndexSet, geo.BMapDescriptor, bop.BDiffOp, bop.FullCalcDescriptor
+
+# (command, action) -> (handler, kinds of its files, flags it reads); a kind
+# of None reads any object.  verify has no action.
+_ACTIONS = {
+    ("indexset", "union"): (_set_operation("union"), (_SET, _SET), ("--truncate",)),
+    ("indexset", "extunion"): (_set_operation("extended_union"), (_SET, _SET), ("--truncate",)),
+    ("indexset", "sum"): (_set_operation("sum_with"), (_SET, _SET), ("--truncate",)),
+    ("indexset", "complete"): (_indexset_complete, (None,), ("--truncate",)),
+    ("indexset", "inf"): (_indexset_inf, (_SET,), ()),
+    ("indexset", "truncate"): (_indexset_truncate, (_SET,), ("--truncate",)),
+    ("space", "quadrant"): (_space_quadrant, (), ("-k", "-n", "--names")),
+    ("space", "blowup"): (_space_blowup, (geo.FaceLattice,), ("--center", "--name")),
+    ("space", "triple"): (_space_triple, (), ()),
+    ("map", "compose"): (_map_compose, (_MAP, _MAP), ()),
+    ("map", "facemap"): (_map_facemap, (_MAP,), ("--face",)),
+    ("map", "check-bfibration"): (_map_check_bfibration, (_MAP,), ()),
+    ("transport", "pullback"): (_transport_pullback, (_MAP, IndexFamily), ()),
+    ("transport", "pushforward"): (_transport_pushforward, (_MAP, IndexFamily), ("--truncate",)),
+    ("op", "specb"): (_op_specb, (_OP,), ()),
+    ("op", "split"): (_op_split, (_OP,), ("--gamma",)),
+    ("op", "inverse"): (_op_inverse, (_OP,), ("--gamma",)),
+    ("op", "apply-check"): (_op_apply_check, (_OP,), ("--gamma", "--support", "--tol")),
+    ("op", "compose"): (_op_compose, (_DESC, _DESC), ()),
+    ("op", "action"): (_op_action, (_DESC, _SET), ("--truncate",)),
+    ("op", "parametrix"): (_op_parametrix, (_OP,), ("--gamma", "--steps")),
+    ("op", "hs"): (_op_hs, (), ("--kernel", "--support-c", "--eps", "--tol")),
+    ("verify", None): (_verify, (), ("--suite",)),
+}
+
+
+def _json_flag(parser, default=argparse.SUPPRESS) -> None:
+    # only the root holds the default, so a later --json is not clobbered
+    parser.add_argument("--json", action="store_true", default=default,
+                        help="machine-readable output")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="bcalc",
-        description="index-set calculus with numeric cross-checks",
-    )
-    _add_common_flags(parser, root=True)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("indexset", help="index-set algebra")
-    p.add_argument("action", choices=["union", "extunion", "sum", "complete", "inf", "truncate"])
-    p.add_argument("files", nargs="+")
-    _add_common_flags(p, root=False)
-    p.set_defaults(handler=_cmd_indexset)
-
-    p = sub.add_parser("space", help="model corners and blow-ups")
-    sp = p.add_subparsers(dest="action", required=True)
-    q = sp.add_parser("quadrant")
-    q.add_argument("-k", type=int, required=True)
-    q.add_argument("-n", type=int, required=True)
-    q.add_argument("--names", default=None, help="comma-separated bhs names")
-    _add_common_flags(q, root=False)
-    q.set_defaults(handler=_cmd_space)
-    b = sp.add_parser("blowup")
-    b.add_argument("lattice")
-    b.add_argument("--center", required=True, help="comma-separated bhs names")
-    b.add_argument("--name", required=True, help="front face name")
-    _add_common_flags(b, root=False)
-    b.set_defaults(handler=_cmd_space)
-    t = sp.add_parser("triple")
-    _add_common_flags(t, root=False)
-    t.set_defaults(handler=_cmd_space)
-
-    p = sub.add_parser("map", help="b-map descriptors")
-    p.add_argument("action", choices=["compose", "facemap", "check-bfibration"])
-    p.add_argument("files", nargs="+")
-    p.add_argument("--face", default="", help="comma-separated bhs names (facemap)")
-    _add_common_flags(p, root=False)
-    p.set_defaults(handler=_cmd_map)
-
-    p = sub.add_parser("transport", help="index transport theorems")
-    p.add_argument("action", choices=["pullback", "pushforward"])
-    p.add_argument("files", nargs=2, metavar=("MAP", "FAMILY"))
-    _add_common_flags(p, root=False)
-    p.set_defaults(handler=_cmd_transport)
-
-    p = sub.add_parser("op", help="half-line operator calculus")
-    p.add_argument("action", choices=[
-        "specb", "split", "inverse", "apply-check", "compose", "action", "parametrix", "hs",
-    ])
-    p.add_argument("files", nargs="*")
-    p.add_argument("--gamma", type=_rational, default=Fraction(0),
-                   help="weight parameter (rational)")
-    p.add_argument("--steps", type=int, default=1, help="parametrix iteration count")
-    p.add_argument("--support", type=float, nargs=2, default=(1.0, 3.0),
-                   help="test-function support for apply-check")
-    p.add_argument("--kernel", choices=["bump", "x-bump", "zero"], default="bump",
-                   help="built-in kernel for hs")
-    p.add_argument("--support-c", dest="support_c", type=float, default=4.0)
-    p.add_argument("--eps", type=float, default=1e-3)
-    _add_common_flags(p, root=False)
-    p.set_defaults(handler=_cmd_op)
-
-    p = sub.add_parser("verify", help="run the verification suite")
-    p.add_argument("--suite", default="all", choices=sorted(verify_mod.SUITES))
-    _add_common_flags(p, root=False)
-    p.set_defaults(handler=_cmd_verify)
-
+    parser = _Parser(prog="bcalc", description="index-set calculus with numeric cross-checks")
+    _json_flag(parser, default=False)
+    commands = parser.add_subparsers(dest="command", required=True)
+    actions = {}
+    for (command, action), (handler, kinds, flags) in _ACTIONS.items():
+        if action is None:
+            leaf = commands.add_parser(command, help=_COMMANDS[command])
+        else:
+            if command not in actions:
+                p = commands.add_parser(command, help=_COMMANDS[command])
+                _json_flag(p)
+                actions[command] = p.add_subparsers(dest="action", required=True)
+            leaf = actions[command].add_parser(action)
+        if kinds:
+            leaf.add_argument("files", nargs=len(kinds), metavar="FILE")
+        for flag in flags:
+            leaf.add_argument(flag, **_FLAGS[flag])
+        _json_flag(leaf)
+        leaf.set_defaults(handler=handler, kinds=kinds, files=())
     return parser
 
 
@@ -398,10 +401,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        payload, lines, code = args.handler(args)
+        objects = [load_typed(path, kind) if kind else load_object(path)
+                   for path, kind in zip(args.files, args.kinds)]
+        payload, lines, code = args.handler(args, *objects)
     except HypothesisViolation as exc:
         msg = {"error": type(exc).__name__, "message": str(exc)}
-        if getattr(args, "json", False):
+        if args.json:
             print(json.dumps(msg, sort_keys=True, indent=2))
         else:
             print(f"hypothesis violated: {exc}", file=sys.stderr)

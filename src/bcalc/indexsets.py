@@ -61,7 +61,7 @@ class IndexEntry:
         if isinstance(value, IndexEntry):
             return value
         z, p = value
-        return cls(ComplexRational.of(z), int(p))
+        return cls(ComplexRational.of(z), p)
 
 
 def _reduce(entries) -> frozenset:

@@ -4,13 +4,13 @@ All exponents and exact coefficients in the package are Gaussian rationals:
 pairs of ``fractions.Fraction``.  Equality is decidable, arithmetic is exact,
 and the total output order used everywhere is lexicographic in (re, im).
 
-This module is the only place where a float is rounded into a Fraction
-(``as_fraction`` and ``ComplexRational.from_complex``), and the only JSON
-codec for a scalar (``ComplexRational.to_jsonable``/``from_jsonable``).
+``ComplexRational.from_complex`` is the only place where a float is
+rounded into a Fraction (the root finder's candidates); ``as_fraction``
+refuses a float.  This module holds the only JSON codec for a scalar
+(``ComplexRational.to_jsonable``/``from_jsonable``).
 """
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,10 +22,9 @@ _STR_LIMIT = 4300
 
 
 def as_fraction(value) -> Fraction:
-    """Coerce an int, Fraction, decimal/ratio string, or float to Fraction.
+    """Read an int, Fraction, or decimal/ratio string exactly as a Fraction.
 
-    Floats are rationalized with denominator bound 1e12, and a float that is
-    not finite is refused with ``ValueError``; exact inputs stay exact.  A
+    A float has no exact value here and is refused with ``ValueError``.  A
     bool is not a number here.  A string longer than ``_STR_LIMIT``
     characters, or with a decimal exponent above it in magnitude, is refused
     with ``ValueError`` before ``Fraction`` sees it.
@@ -33,9 +32,7 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"cannot interpret {value!r} as an exact rational")
-        return Fraction(value).limit_denominator(_FLOAT_RATIONALIZE_DEN)
+        raise ValueError(f"cannot read the float {value!r} as an exact rational")
     if isinstance(value, str):
         exponent = re.search(r"[eE]([-+]?[\d_]+)", value)
         if len(value) > _STR_LIMIT or exponent and abs(int(exponent.group(1))) > _STR_LIMIT:
@@ -59,10 +56,6 @@ class ComplexRational:
             return cls(as_fraction(value), as_fraction(im))
         if isinstance(value, ComplexRational):
             return value
-        if isinstance(value, complex):
-            return cls.from_complex(value)
-        if isinstance(value, tuple) and len(value) == 2:
-            return cls(as_fraction(value[0]), as_fraction(value[1]))
         return cls(as_fraction(value))
 
     @classmethod

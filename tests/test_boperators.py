@@ -357,6 +357,18 @@ def test_apply_check_rejects_variable_coefficients():
         bop.apply_check(op, kernel, lambda t: 0.0, (1.0, 3.0))
 
 
+def test_apply_check_rejects_non_real_coefficients():
+    # z + 1 + i has a complex kernel; reading its real part gave a residual of 0.43
+    op = op_from([CR.of(1, 1)], [1])
+    kernel = bop.model_inverse(bop.indicial(op), 0)
+    with pytest.raises(ValueError, match="real"):
+        bop.apply_check(op, kernel, num.smooth_bump(2.0, 1.0), (1.0, 3.0))
+    # a real operator with the conjugate roots -1 +- i has a real kernel and is checked
+    op = op_from([2], [2], [1])
+    kernel = bop.model_inverse(bop.indicial(op), 0)
+    assert bop.apply_check(op, kernel, num.smooth_bump(2.0, 1.0), (1.0, 3.0)).max_residual < 1e-5
+
+
 # -- descriptor algebra ------------------------------------------------------------------
 
 

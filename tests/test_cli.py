@@ -150,6 +150,120 @@ def test_transport_pullback(tmp_path, capsys):
     assert data["assignment"]["ff"]["generators"][0]["re"] == "3/2"
 
 
+def test_transport_pushforward_along_a_lifted_projection(tmp_path, capsys):
+    # a target with three faces gives a family: each face gets the extended
+    # union of its two preimages, here two smooth sets
+    pi3 = geo.lifted_projection(3)
+    fam = {n: SMOOTH if any(row) else SMOOTH.shift(1)
+           for n, row in zip(pi3.source.bhs_names, pi3.exponents)}
+    fpi, ffam = write(tmp_path, "pi3.json", pi3), write(tmp_path, "fam.json", IndexFamily.of(fam))
+    code, out = run(capsys, "transport", "pushforward", fpi, ffam)
+    assert code == 0
+    assert out.splitlines() == ["push-forward family:", "  ff     (0,1)", "  lb     (0,1)",
+                                "  rb     (0,1)", "integrability: ok"]
+    code, out = run(capsys, "transport", "pushforward", fpi, ffam, "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert {n: s["generators"] for n, s in data["result"]["assignment"].items()} == {
+        n: [{"re": "0", "im": "0", "p": 1}] for n in ("lb", "rb", "ff")}
+    # bf3 lies over the interior, so a smooth set there is not integrable
+    bad = write(tmp_path, "bad.json", IndexFamily.of({**fam, "bf3": SMOOTH}))
+    code, out = run(capsys, "transport", "pushforward", fpi, bad)
+    assert code == 2
+    assert out.splitlines()[-2:] == ["integrability: VIOLATED", "violating bhs: bf3"]
+    code, out = run(capsys, "--json", "transport", "pushforward", fpi, bad)
+    assert code == 2 and json.loads(out)["violating_bhs"] == ["bf3"]
+
+
+def test_indexset_complete_reads_an_index_set(tmp_path, capsys):
+    s = IndexSet.from_entries([(Fraction(1, 2), 1), (0, 0)])
+    path = write(tmp_path, "set.json", s)
+    code, out = run(capsys, "indexset", "complete", path, "--truncate", "1")
+    assert code == 0
+    assert out.splitlines() == ["generators:", "  z = 0            p = 0", "  z = 1/2          p = 1",
+                                "members with Re z <= 1:", "  z = 0            p = 0",
+                                "  z = 1/2          p = 0", "  z = 1/2          p = 1",
+                                "  z = 1            p = 0"]
+    code, out = run(capsys, "indexset", "complete", path, "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["generators"] == s.to_jsonable()["generators"]
+    assert len(data["truncation"]) == 11 + 2 * 10  # Re z <= 10: 0..10, and 1/2..19/2 twice
+
+
+def test_each_action_refuses_what_it_does_not_read(tmp_path, capsys):
+    smooth = write(tmp_path, "smooth.json", SMOOTH)
+    op = write(tmp_path, "op.json", bop.BDiffOp.from_lists([[1], [1]]))
+    proj = write(tmp_path, "proj.json", geo.halfline_projection(1))
+    unread = [
+        ["op", "specb", op, "--gamma", "0"],
+        ["op", "specb", op, "--steps", "9"],
+        ["op", "specb", op, "--eps", "1"],
+        ["op", "specb", op, "--kernel", "zero"],
+        ["op", "split", op, "--tol", "1e-9"],
+        ["op", "hs", "--gamma", "0"],
+        ["op", "hs", "--truncate", "5"],
+        ["op", "apply-check", op, "--truncate", "5"],
+        ["indexset", "inf", smooth, "--truncate", "5"],
+        ["indexset", "union", smooth, smooth, "--tol", "1e-9"],
+        ["map", "check-bfibration", proj, "--face", "lb"],
+        ["transport", "pullback", proj, smooth, "--truncate", "5"],
+        ["space", "triple", "--truncate", "5"],
+        ["verify", "--suite", "indexsets", "--tol", "1e-9"],
+        ["--truncate", "5", "indexset", "truncate", smooth],
+    ]
+    # a wrong number of files; one file for pushforward was a traceback
+    wrong_count = [
+        ["transport", "pushforward", proj],
+        ["transport", "pushforward", proj, smooth, smooth],
+        ["indexset", "inf", smooth, smooth],
+        ["op", "compose", op],
+        ["op", "hs", op],
+        ["space", "blowup", "--center", "H1,H2", "--name", "F"],
+        ["map", "facemap"],
+    ]
+    for argv in unread + wrong_count:
+        assert exit_code(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.strip().splitlines()) == 1, argv
+        assert "Traceback" not in captured.err, argv
+    # --json is read before the command, before the action and after it
+    for argv in (["--json", "indexset", "inf", smooth], ["indexset", "--json", "inf", smooth],
+                 ["indexset", "inf", smooth, "--json"]):
+        code, out = run(capsys, *argv)
+        assert code == 0 and json.loads(out) == {"inf": "0"}, argv
+
+
+def test_op_specb_refuses_a_coefficient_beyond_float_range(tmp_path, capsys):
+    # z^2 + c with |c| above the float range: the root finder cannot take it
+    for c in ("1e400", {"re": "1", "im": "1e400"}):
+        path = write(tmp_path, "op.json", {"coeffs": [[c], ["0"], ["1"]]})
+        assert main(["op", "specb", path]) == 1, c
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.strip().splitlines()) == 1, c
+
+
+def test_op_hs_samples_the_kernel_for_a_wide_support(capsys):
+    # the bump's front-face norm, which one quadrature over [1/C, C] missed from C = 120
+    code, out = run(capsys, "--json", "op", "hs", "--support-c", "1e6")
+    assert code == 0
+    data = json.loads(out)
+    assert abs(data["reference"] - 0.506824726381) < 1e-9
+    assert abs(data["slope"] - 0.506824726381) < 1e-9
+    for c in ("1e11", "1e308"):
+        assert main(["op", "hs", "--support-c", c]) == 1, c
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.strip().splitlines()) == 1, c
+
+
+def test_op_apply_check_refuses_non_real_coefficients(tmp_path, capsys):
+    # the kernel of z + 1 + i is complex, and the check would read only its real part
+    op = write(tmp_path, "op.json", {"coeffs": [[{"re": "1", "im": "1"}], ["1"]]})
+    assert main(["op", "apply-check", op, "--gamma", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.strip().splitlines()) == 1
+
+
 def test_op_specb_and_split(tmp_path, capsys):
     op = write(tmp_path, "op.json", bop.BDiffOp.from_lists([[Fraction(1, 2)], [1]]))
     code, out = run(capsys, "--json", "op", "specb", op)
@@ -230,7 +344,7 @@ def test_malformed_input_is_exit_1(tmp_path, capsys):
     wrong = write(tmp_path, "fam.json", IndexFamily.of({"H": SMOOTH}, geo.halfline()))
     assert main(["indexset", "inf", wrong]) == 1
     smooth = write(tmp_path, "smooth.json", SMOOTH)
-    assert main(["indexset", "union", smooth]) == 1  # missing second operand
+    assert exit_code(["indexset", "union", smooth]) == 1  # missing second operand
     capsys.readouterr()
     kernel = {"terms": [{"z": "1/2", "p": 0, "side": "rb", "coeff": {"re": "1"}}]}
     unreadable = {
@@ -411,6 +525,7 @@ def test_module_entry_point(tmp_path):
         [sys.executable, "-m", "bcalc", "--json", "indexset", "union",
          str(smooth), str(smooth)],
         capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["generators"] == [{"re": "0", "im": "0", "p": 0}]

@@ -15,7 +15,9 @@ from bcalc.indexsets import (
     complete,
 )
 from bcalc.geometry import model_quadrant
-from bcalc.rationals import ComplexRational as CR
+from bcalc.errors import SchemaError
+from bcalc.rationals import ComplexRational as CR, as_fraction
+from bcalc.serialize import parse_object
 
 
 def S(*entries):
@@ -103,6 +105,24 @@ def test_non_finite_bounds_and_scalars_are_refused():
             CR.of(value)
         with pytest.raises(ValueError):
             SMOOTH.truncate(value)
+
+
+def test_floats_are_refused_and_nothing_is_coerced():
+    # ComplexRational.from_complex is the one place that rounds a float
+    for value in (0.5, 1.0, -0.0):
+        with pytest.raises(ValueError):
+            as_fraction(value)
+        with pytest.raises(ValueError):
+            SMOOTH.truncate(value)
+    for value in (0.5j, (1, 2)):
+        with pytest.raises(TypeError):
+            CR.of(value)
+    for p in (True, 1.0):  # the constructor decides, so no int(p) reads these as 1
+        with pytest.raises(ValueError):
+            IndexEntry.of((0, p))
+    with pytest.raises(SchemaError):
+        parse_object({"generators": [{"re": 0.5, "p": 0}]})
+    assert parse_object({"generators": [{"re": 1, "p": 0}]}) == S((1, 0))
 
 
 def test_scalar_strings_are_bounded():
