@@ -16,16 +16,19 @@ produce k(s) = s^c on the s < 1 side, and is enforced numerically by
 
 Descriptor-level composition/action implement the index bookkeeping of the
 full calculus, including the Neumann parametrix iteration.
+
+The exact bookkeeping loads no NumPy: the float root finder for indicial
+factors of degree two or more, ``apply_check`` and
+``hs_front_face_criterion`` import NumPy and ``numeric`` when they run.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Optional
 
 from .errors import (
     CompositionUndefined,
@@ -34,14 +37,10 @@ from .errors import (
     SchemaError,
 )
 from .indexsets import EMPTY, IndexEntry, IndexSet
-from .numeric import (
-    QuadratureSpec,
-    apply_bop_numeric,
-    geometric_grid,
-    integrate,
-    plateau_cutoff,
-)
 from .rationals import ONE, ZERO, ComplexRational, as_fraction
+
+if TYPE_CHECKING:
+    from .numeric import QuadratureSpec
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +175,8 @@ def _squarefree_roots(factor):
     deg = _pdeg(factor)
     if deg == 1:
         return [(-factor[0] / factor[1], True)]
+    import numpy as np
+
     try:
         if all(c.is_real for c in factor):
             # real companion matrix: exact double roots stay real instead of
@@ -280,14 +281,6 @@ class BDiffOp:
     def has_constant_coefficients(self) -> bool:
         return all(all(not c for c in s[1:]) for s in self.coeffs)
 
-    def eval_coeff(self, j: int, x):
-        """a_j evaluated on an array (complex-valued Horner)."""
-        x = np.asarray(x, dtype=float)
-        acc = np.zeros(x.shape, dtype=complex)
-        for c in reversed(self.coeffs[j]):
-            acc = acc * x + c.as_complex()
-        return acc
-
     def to_jsonable(self) -> dict:
         # a real coefficient is written as a bare "p/q" string
         coeffs = [[str(c) if c.is_real else c.to_jsonable() for c in s] for s in self.coeffs]
@@ -334,7 +327,7 @@ _WEIGHT_GAP = 1e-9
 def _check_admissible(ind: IndicialData, gamma: Fraction):
     """The real weight selecting a model inverse must avoid all root real parts."""
     for r in ind.roots:
-        if abs(float(r.value.re - gamma)) <= _WEIGHT_GAP:
+        if abs(r.value.re - gamma) <= _WEIGHT_GAP:
             raise InadmissibleWeight(
                 f"weight {gamma} is within {_WEIGHT_GAP} of root Re z = {r.value.re}"
             )
@@ -536,7 +529,7 @@ _GRID_BUDGET = 10_000
 
 
 def apply_check(op: BDiffOp, kernel: ModelKernel, v: Callable[[float], float], support: tuple,
-                spec: QuadratureSpec = QuadratureSpec(1e-12, 1e-12, 300)) -> ApplyCheckReport:
+                spec: Optional[QuadratureSpec] = None) -> ApplyCheckReport:
     """Check numerically that the kernel inverts a constant-coefficient operator.
 
     Computes u = Kv by quadrature (splitting at the kernel jump x' = x),
@@ -548,12 +541,24 @@ def apply_check(op: BDiffOp, kernel: ModelKernel, v: Callable[[float], float], s
     with ``ValueError`` before any is built.  Like the rest of the numeric
     oracle the check is real-only: an operator with a non-real coefficient
     is refused with ``ValueError``, since ``ModelKernel.evaluate`` keeps only
-    the real part of the kernel.
+    the real part of the kernel.  An operator coefficient, kernel exponent or
+    kernel coefficient beyond the float range is refused with ``ValueError``
+    as well.  ``spec`` defaults to tolerances 1e-12 with subdivision limit
+    300.
     """
+    import numpy as np
+
+    from . import numeric as num
+
+    if spec is None:
+        spec = num.QuadratureSpec(1e-12, 1e-12, 300)
     if not op.has_constant_coefficients:
         raise ValueError("apply_check expects a constant-coefficient operator")
     if not all(c.is_real for s in op.coeffs for c in s):
         raise ValueError("apply_check expects real coefficients; a complex kernel stays symbolic")
+    scalars = [c for s in op.coeffs for c in s] + [x for t in kernel.terms for x in (t.z, t.coeff)]
+    if any(max(abs(c.re), abs(c.im)) > sys.float_info.max for c in scalars):
+        raise ValueError("apply_check expects operator and kernel scalars within the float range")
     a, b = support
     if not 0 < a < b < math.inf:
         raise ValueError(f"support must satisfy 0 < a < b < inf, got ({a}, {b})")
@@ -563,13 +568,13 @@ def apply_check(op: BDiffOp, kernel: ModelKernel, v: Callable[[float], float], s
         raise ValueError(f"support ({a}, {b}) needs more than the budget of "
                          f"{_GRID_BUDGET} grid points")
     n = int(math.ceil(steps)) + 1
-    x_grid = geometric_grid(hi, (lo / hi) ** (1.0 / (n - 1)), n)
+    x_grid = num.geometric_grid(hi, (lo / hi) ** (1.0 / (n - 1)), n)
     u = np.empty_like(x_grid)
     for i, x in enumerate(x_grid):
-        u[i] = integrate(
+        u[i] = num.integrate(
             lambda t: kernel.evaluate(t / x) * v(t) / t, a, b, spec, points=[x]
         )
-    x_out, applied = apply_bop_numeric(op, u, x_grid)
+    x_out, applied = num.apply_bop_numeric(op, u, x_grid)
     expected = np.array([v(x) for x in x_out])
     return ApplyCheckReport(float(np.max(np.abs(applied - expected))))
 
@@ -735,7 +740,7 @@ _HS_MAX_C = 1e10
 
 
 def hs_front_face_criterion(p: Callable[[float, float], float], support_c: float, eps: float,
-                            spec: QuadratureSpec = QuadratureSpec(1e-9, 1e-9, 200)) -> HsReport:
+                            spec: Optional[QuadratureSpec] = None) -> HsReport:
     """Probe the squared Hilbert-Schmidt norm of phi(x) p(x, s) for divergence.
 
     p must be supported in x <= C, 1/C <= s <= C.  The cutoff phi is a smooth
@@ -743,25 +748,32 @@ def hs_front_face_criterion(p: Callable[[float, float], float], support_c: float
     ``_HS_LADDER`` lower cutoffs and regressed against log(1/eps).  The ds/s
     integrals run in u = log s, split at s = 1, so a wide C still samples
     the kernel near s = 1.  Anything but 0 < eps < C <= ``_HS_MAX_C`` is
-    refused with ``ValueError``.
+    refused with ``ValueError``.  ``spec`` defaults to tolerances 1e-9 with
+    subdivision limit 200.
     """
+    import numpy as np
+
+    from . import numeric as num
+
+    if spec is None:
+        spec = num.QuadratureSpec(1e-9, 1e-9, 200)
     if not 0 < eps < support_c <= _HS_MAX_C:
         raise ValueError(f"need 0 < eps < support_c <= {_HS_MAX_C:g}, "
                          f"got eps={eps}, support_c={support_c}")
-    phi = plateau_cutoff(support_c / 4.0, support_c / 2.0)
+    phi = num.plateau_cutoff(support_c / 4.0, support_c / 2.0)
     log_c = math.log(support_c)
 
     def inner(x):
         def f(u):
             return (phi(x) * p(x, math.exp(u))) ** 2
-        return integrate(f, -log_c, 0.0, spec) + integrate(f, 0.0, log_c, spec)
+        return num.integrate(f, -log_c, 0.0, spec) + num.integrate(f, 0.0, log_c, spec)
 
     eps_list = [eps * 10.0 ** (-k) for k in range(_HS_LADDER)]
     norms = []
-    total = integrate(lambda x: inner(x) / x, eps_list[0], support_c, spec)
+    total = num.integrate(lambda x: inner(x) / x, eps_list[0], support_c, spec)
     norms.append(total)
     for e_prev, e_next in zip(eps_list, eps_list[1:]):
-        total += integrate(lambda x: inner(x) / x, e_next, e_prev, spec)
+        total += num.integrate(lambda x: inner(x) / x, e_next, e_prev, spec)
         norms.append(total)
     slope, _ = np.polyfit([math.log(1.0 / e) for e in eps_list], norms, 1)
     return HsReport(float(slope), inner(0.0), tuple(eps_list), tuple(norms))

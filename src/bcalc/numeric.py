@@ -483,7 +483,10 @@ def apply_bop_numeric(op, values, x_grid):
     for j in range(m + 1):
         pad = trim - 3 * j
         aligned = d[pad: len(d) - pad] if pad else d
-        total += op.eval_coeff(j, x_out) * aligned
+        coeff = np.zeros(x_out.shape, dtype=complex)  # a_j(x) by complex Horner
+        for c in reversed(op.coeffs[j]):
+            coeff = coeff * x_out + c.as_complex()
+        total += coeff * aligned
         if j < m:
             d = _dlog(d, h)
     if np.max(np.abs(total.imag)) < 1e-12 * (1.0 + np.max(np.abs(total.real))):

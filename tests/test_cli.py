@@ -13,6 +13,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from bcalc import boperators as bop
+from bcalc import cli, verify
 from bcalc import geometry as geo
 from bcalc.cli import main
 from bcalc.errors import (
@@ -243,6 +244,24 @@ def test_op_specb_refuses_a_coefficient_beyond_float_range(tmp_path, capsys):
         assert captured.out == "" and len(captured.err.strip().splitlines()) == 1, c
 
 
+def test_op_actions_keep_a_root_beyond_float_range_exact(tmp_path, capsys):
+    # z + 10^400: the weight is compared with the exact root, not its float
+    path = write(tmp_path, "op.json", {"coeffs": [["1e400"], ["1"]]})
+    big = str(10 ** 400)
+    code, out = run(capsys, "--json", "op", "split", path, "--gamma", "0")
+    assert code == 0
+    data = json.loads(out)
+    assert data["E_lb"]["generators"] == []
+    assert data["E_rb"]["generators"] == [{"re": big, "im": "0", "p": 0}]
+    code, out = run(capsys, "--json", "op", "inverse", path, "--gamma", "0")
+    assert code == 0
+    assert json.loads(out)["terms"] == [{"z": {"re": big, "im": "0"}, "p": 0, "side": "rb",
+                                         "coeff": {"re": "1", "im": "0"}}]
+    code, out = run(capsys, "--json", "op", "parametrix", path, "--gamma", "0")
+    assert code == 0
+    assert json.loads(out)["parametrix"]["E_rb"]["generators"] == [{"re": big, "im": "0", "p": 0}]
+
+
 def test_op_hs_samples_the_kernel_for_a_wide_support(capsys):
     # the bump's front-face norm, which one quadrature over [1/C, C] missed from C = 120
     code, out = run(capsys, "--json", "op", "hs", "--support-c", "1e6")
@@ -332,6 +351,8 @@ def test_verify_suite_runs(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["passed"] == data["total"] == 1
+    # the parser lists the suites without importing verify, and so NumPy
+    assert list(cli._FLAGS["--suite"]["choices"]) == sorted(verify.SUITES)
 
 
 def test_malformed_input_is_exit_1(tmp_path, capsys):
@@ -418,6 +439,10 @@ def test_malformed_input_is_exit_1(tmp_path, capsys):
         ["--eps", "nan"], ["--eps", "0"], ["--eps", "-1"], ["--eps", "4"],
         ["--tol", "nan"], ["--tol", "inf"], ["--tol", "0"])]
     numeric_flags += [["op", "parametrix", op, "--steps", "1000000"]]
+    # coefficients, roots or kernel coefficients beyond the float range
+    for i, coeffs in enumerate(([["1e400"], ["1"]], [["1"], ["1e-400"]])):
+        huge = write(tmp_path, f"huge{i}.json", {"coeffs": coeffs})
+        numeric_flags += [["op", "apply-check", huge]]
     for argv in numeric_flags:
         start = time.perf_counter()
         assert main(argv) == 1, argv
@@ -476,18 +501,25 @@ def test_any_json_is_read_or_refused_in_one_line(data):
 
 def test_only_quadrature_loads_scipy(tmp_path):
     smooth = write(tmp_path, "smooth.json", SMOOTH)
+    proj = write(tmp_path, "proj.json", geo.halfline_projection(1))
+    fam = write(tmp_path, "fam.json", IndexFamily.of(
+        {"lb": SMOOTH, "ff": SMOOTH, "rb": IndexSet.from_entries([(1, 0)])}, geo.x2b_lattice()))
+    desc = write(tmp_path, "desc.json", bop.FullCalcDescriptor(-1.0, EMPTY, SMOOTH.shift(1)))
     op = write(tmp_path, "op.json", bop.BDiffOp.from_lists([[1], [1]]))
     child = f"""
 import contextlib, io, json, sys
 import bcalc, bcalc.cli
-from bcalc import cli
+from bcalc import cli, geometry
+geometry.x2b(); geometry.triple_b_space()
+loaded = [["numpy" in sys.modules, "scipy" in sys.modules]]
 argvs = [["indexset", "extunion", {smooth!r}, {smooth!r}], ["space", "triple"],
+         ["transport", "pushforward", {proj!r}, {fam!r}], ["op", "compose", {desc!r}, {desc!r}],
          ["op", "specb", {op!r}], ["op", "apply-check", {op!r}, "--json"]]
-codes, loaded = [], []
+codes = []
 for argv in argvs:
     with contextlib.redirect_stdout(io.StringIO()) as out:
         codes.append(cli.main(argv))
-    loaded.append("scipy" in sys.modules)
+    loaded.append(["numpy" in sys.modules, "scipy" in sys.modules])
 print(json.dumps({{"codes": codes, "loaded": loaded, "apply": json.loads(out.getvalue())}}))
 """
     proc = subprocess.run(
@@ -496,9 +528,11 @@ print(json.dumps({{"codes": codes, "loaded": loaded, "apply": json.loads(out.get
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
-    assert report["codes"] == [0, 0, 0, 0]
-    # the symbolic subcommands never import SciPy; apply-check's quadrature does
-    assert report["loaded"] == [False, False, False, True]
+    assert report["codes"] == [0] * 6
+    # the import, the built-in spaces and the exact subcommands (a first-order
+    # operator's root is exact) load neither NumPy nor SciPy; apply-check's
+    # quadrature loads both
+    assert report["loaded"] == [[False, False]] * 6 + [[True, True]]
     assert report["apply"]["max_residual"] < 1e-5
 
 
