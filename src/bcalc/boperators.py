@@ -70,15 +70,6 @@ def _pneg(p):
     return tuple(-c for c in p)
 
 
-def _pmul(p, q):
-    """Product of two coefficient lists (ascending) of either scalar type."""
-    out = [p[0] - p[0]] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] = out[i + j] + a * b
-    return _ptrim(out)
-
-
 def _pscale(p, c):
     return _ptrim(x * c for x in p)
 
@@ -325,9 +316,12 @@ _WEIGHT_GAP = 1e-9
 
 
 def _check_admissible(ind: IndicialData, gamma: Fraction):
-    """The real weight selecting a model inverse must avoid all root real parts."""
+    """The real weight selecting a model inverse must avoid all root real parts.
+
+    An exact root is compared by equality, an inexact one within ``_WEIGHT_GAP``.
+    """
     for r in ind.roots:
-        if abs(r.value.re - gamma) <= _WEIGHT_GAP:
+        if abs(r.value.re - gamma) <= (0 if r.exact else _WEIGHT_GAP):
             raise InadmissibleWeight(
                 f"weight {gamma} is within {_WEIGHT_GAP} of root Re z = {r.value.re}"
             )
@@ -426,58 +420,31 @@ class ModelKernel:
 
 def _series_inverse(b, n):
     """First n coefficients of 1 / sum b_i w^i (b[0] != 0)."""
-    zero = b[0] - b[0]
-    out = [1 / b[0]]
+    out = [ONE / b[0]]
     for k in range(1, n):
-        s = zero
+        s = ZERO
         for i in range(1, k + 1):
             s = s + b[i] * out[k - i]
         out.append(-s / b[0])
     return out
 
 
-def _taylor_at(poly, z0, nterms):
-    """Coefficients of poly(z0 + w) up to w^(nterms-1), by synthetic division."""
-    zero = z0 - z0
-    out = []
-    cur = _ptrim(poly)
-    for _ in range(nterms):
-        if not cur:
-            out.append(zero)
-            continue
-        # divide cur by (z - z0): quotient by Horner, remainder = cur(z0)
-        quot = [zero] * max(0, len(cur) - 1)
-        acc = zero
-        for i in range(len(cur) - 1, 0, -1):
-            acc = cur[i] + acc * z0
-            quot[i - 1] = acc
-        out.append(cur[0] + acc * z0)
-        cur = _ptrim(quot)
-    return out
-
-
 def _partial_fraction_block(root: Root, all_roots, lc):
     """Coefficients A_j, j = 1..k, of 1/poly = sum_j A_j / (z - z0)^j + ...
 
-    Computed from the series inverse of the deflated polynomial at the root.
-    ``_pmul``, ``_taylor_at`` and ``_series_inverse`` run on either scalar
-    type: the algebra is exact when every root is exact; otherwise it runs on
-    the complex values of the roots and the results are rationalized for
-    storage.
+    A_j is the coefficient of w^(k-j) in 1/deflated(z0 + w), where
+    deflated(z0 + w) = lc * prod (w + z0 - z_i)^(m_i) over the other stored
+    roots, kept to its first k coefficients (k the multiplicity of z0).  The
+    arithmetic is exact on the stored roots.
     """
-    exact = all(r.exact for r in all_roots)
-    scalar = (lambda c: c) if exact else ComplexRational.as_complex
     k = root.multiplicity
-    deflated = (scalar(lc),)
+    deflated = [lc] + [ZERO] * (k - 1)
     for other in all_roots:
-        if other is root:
-            continue
-        lin = (-scalar(other.value), 1)
-        for _ in range(other.multiplicity):
-            deflated = _pmul(deflated, lin)
-    # A_j is the coefficient of w^(k-j) in 1/deflated(z0 + w)
-    blocks = _series_inverse(_taylor_at(deflated, scalar(root.value), k), k)[::-1]
-    return blocks if exact else [ComplexRational.from_complex(a) for a in blocks]
+        if other is not root:
+            d = root.value - other.value
+            for _ in range(other.multiplicity):  # times (w + d), to k coefficients
+                deflated = [d * c + lower for c, lower in zip(deflated, [ZERO] + deflated)]
+    return _series_inverse(deflated, k)[::-1]
 
 
 def model_inverse(ind: IndicialData, gamma) -> ModelKernel:
@@ -487,25 +454,29 @@ def model_inverse(ind: IndicialData, gamma) -> ModelKernel:
     the weight contributes s^(-z0) log-power terms on the s < 1 side, a root
     above the weight contributes mirrored terms on s > 1 (with the sign from
     closing the contour the other way).  Reproduces k(s) = s^c H(1-s) for
-    the first-order model.
+    the first-order model.  The partial fractions are exact on the stored
+    roots; when a root is inexact, each coefficient is rounded once, by
+    ``ComplexRational.rounded``.
     """
     gamma = as_fraction(gamma)
     _check_admissible(ind, gamma)
     if _pdeg(ind.polynomial) < 1:
         raise ValueError("indicial polynomial is constant; nothing to invert")
     lc = ind.polynomial[-1]
+    exact = all(r.exact for r in ind.roots)
     terms = []
     for root in ind.roots:
         blocks = _partial_fraction_block(root, ind.roots, lc)
         for j, a_j in enumerate(blocks, start=1):
-            if not a_j:
-                continue
-            fact = ComplexRational.of(math.factorial(j - 1))
             if root.value.re < gamma:
-                terms.append(KernelTerm(-root.value, j - 1, "rb", a_j / fact))
-            else:
-                sign = ONE if (j - 1) % 2 else -ONE
-                terms.append(KernelTerm(root.value, j - 1, "lb", sign * a_j / fact))
+                z, side, coeff = -root.value, "rb", a_j
+            else:  # the contour closes the other way: -A_j for odd j
+                z, side, coeff = root.value, "lb", a_j if j % 2 == 0 else -a_j
+            coeff = coeff / math.factorial(j - 1)
+            if not exact:
+                coeff = coeff.rounded()
+            if coeff:
+                terms.append(KernelTerm(z, j - 1, side, coeff))
     terms.sort(key=lambda t: (t.side, t.z.key(), t.p))
     return ModelKernel(tuple(terms))
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -303,7 +304,16 @@ def _verify(args):
 
 
 class _Parser(argparse.ArgumentParser):
-    """A usage error is malformed input: one stderr line and exit code 1."""
+    """A usage error is malformed input: one stderr line and exit code 1.
+
+    A negative rational or decimal, with or without an exponent (``-1/2``,
+    ``-1e-3``), is a flag value: argparse alone reads only ``-N`` and
+    ``-N.M`` as numbers, and no bcalc option looks like a number.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+/\d+|(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?)$")
 
     def error(self, message):
         self.exit(1, f"{self.prog}: error: {message}\n")

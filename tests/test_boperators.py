@@ -172,6 +172,12 @@ def test_split_rejects_weight_on_root():
     ind = bop.indicial(op_from([c], [1]))
     with pytest.raises(InadmissibleWeight):
         bop.split_spec(ind, -c)
+    # an exact root is compared by equality, an inexact one within 1e-9
+    assert bop.split_spec(ind, -c + Fraction(1, 10**10)) == (EMPTY, S((c, 0)))
+    ind = bop.indicial(op_from([-2], [0], [1]))  # roots +-sqrt(2), stored inexactly
+    near = max(r.value.re for r in ind.roots) + Fraction(1, 10**10)
+    with pytest.raises(InadmissibleWeight):
+        bop.split_spec(ind, near)
 
 
 def test_split_locally_constant_between_roots():
@@ -288,31 +294,84 @@ def test_exact_partial_fractions_sum_to_inverse_polynomial(roots, k, lead):
         assert total == CR.of(1) / p_w
 
 
+def _mpq(q):
+    q = Fraction(q)
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
+def _mp(c):
+    return mpmath.mpc(_mpq(c.re), _mpq(c.im))
+
+
+# (square-free rational factors ascending, with multiplicities), leading
+# coefficient, weight: irrational roots stored inexactly beside rational ones
+_QUAD, _HALF = [Fraction(7, 2), 4, 1], [Fraction(-1, 2), 0, 1]  # -2 +- sqrt(1/2), +-sqrt(1/2)
+_MIXED_ROOTS = (
+    # the pair -2 +- sqrt(1/2) sits 0.04 from a triple root; weight between them
+    ([(_QUAD, 1), ([Fraction(4, 3), 1], 3)], 1, Fraction(-13, 10)),
+    # the same cluster with four more roots nearby (perfbench's INEXACT operator)
+    ([(_QUAD, 1), (_HALF, 1), ([Fraction(4, 3), 1], 3), ([Fraction(8, 3), 1], 1),
+      ([Fraction(5, 2), 1], 1)], 3, Fraction(-9, 8)),
+)
+
+
+def _mixed_operator(factors, lead):
+    poly = [CR.of(lead)]
+    for coeffs, m in factors:
+        for _ in range(m):
+            poly = _mul(poly, [CR.of(c) for c in coeffs])
+    return op_from(*[[c] for c in poly])
+
+
 def test_mixed_roots_partial_fractions_match_mpmath_residues():
-    # (z^2 + 4z + 7/2)(z + 4/3)^3: the irrational pair -2 +- sqrt(1/2) sits
-    # 0.04 from a triple rational root, so the complex-float path is taken
-    quad = [CR.of(Fraction(7, 2)), CR.of(4), CR.of(1)]
-    poly = _mul(quad, _product({CR.of(Fraction(-4, 3)): 3}))
-    ind = bop.indicial(op_from(*[[c] for c in poly]))
-    assert not all(r.exact for r in ind.roots)
-    kernel = bop.model_inverse(ind, Fraction(-13, 10))  # weight between the close roots
-    assert {t.side for t in kernel.terms} == {"lb", "rb"}
-    got = _partial_fractions(kernel)
+    for factors, lead, gamma in _MIXED_ROOTS:
+        ind = bop.indicial(_mixed_operator(factors, lead))
+        assert not all(r.exact for r in ind.roots)
+        kernel = bop.model_inverse(ind, gamma)
+        assert {t.side for t in kernel.terms} == {"lb", "rb"}
+        got = _partial_fractions(kernel)
 
-    mpmath.mp.dps = 40
-    r = mpmath.sqrt(mpmath.mpf(1) / 2)
-    z3 = -mpmath.mpf(4) / 3
-    quad_at = lambda z: z * z + 4 * z + mpmath.mpf(7) / 2  # noqa: E731
-    want = {(-2 + r, 1): 1 / (mpmath.diff(quad_at, -2 + r) * (-2 + r - z3) ** 3),
-            (-2 - r, 1): 1 / (mpmath.diff(quad_at, -2 - r) * (-2 - r - z3) ** 3)}
-    taylor = mpmath.taylor(lambda z: 1 / quad_at(z), z3, 2)  # of (z - z3)^3 / p(z)
-    want.update({(z3, j): taylor[3 - j] for j in (1, 2, 3)})
+        mpmath.mp.dps = 50
+        roots = [(r, m) for coeffs, m in factors
+                 for r in mpmath.polyroots([_mpq(c) for c in reversed(coeffs)], extraprec=200)]
 
-    assert len(got) == len(want)
-    for (z, j), a in got.items():
-        (wz, wa), = [(wz, wa) for (wz, wj), wa in want.items()
-                     if wj == j and abs(complex(wz) - z.as_complex()) < 1e-9]
-        assert abs(a.as_complex() - complex(wa)) <= 1e-9 * abs(complex(wa))
+        def rest(z, skip=None):  # lead * prod (z - r)^m over the roots but ``skip``
+            out = mpmath.mpf(lead)
+            for r, m in roots:
+                if r is not skip:
+                    out *= (z - r) ** m
+            return out
+
+        want = {}
+        for r, m in roots:
+            taylor = mpmath.taylor(lambda z, r=r: 1 / rest(z, r), r, m - 1)  # of (z - r)^m / P(z)
+            want.update({(r, j): taylor[m - j] for j in range(1, m + 1)})
+        assert len(got) == len(want)
+        for (z, j), a in got.items():
+            (wa,) = [wa for (wz, wj), wa in want.items() if wj == j and abs(wz - _mp(z)) < 1e-9]
+            assert abs(_mp(a) - wa) <= 1e-9 * abs(wa)
+        # the kernel rebuilds 1/P, with P from its exact coefficients
+        for w in (mpmath.mpc(0.31, 0.77), mpmath.mpc(-1.13, 0.29), mpmath.mpc(2.41, -0.53),
+                  mpmath.mpc(-0.07, -1.9)):
+            p_w = lead * mpmath.fprod(mpmath.polyval([_mpq(c) for c in reversed(coeffs)], w) ** m
+                                      for coeffs, m in factors)
+            total = sum(_mp(a) / (w - _mp(z)) ** j for (z, j), a in got.items())
+            assert abs(total * p_w - 1) <= 1e-10
+
+
+def test_model_inverse_rounds_without_floats(monkeypatch):
+    # the partial fractions run on the stored roots: no float enters or leaves
+    factors, lead, gamma = _MIXED_ROOTS[1]
+    ind = bop.indicial(_mixed_operator(factors, lead))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("model_inverse converted a float")
+
+    monkeypatch.setattr(CR, "as_complex", refuse)
+    monkeypatch.setattr(CR, "from_complex", refuse)
+    kernel = bop.model_inverse(ind, gamma)
+    assert len(kernel.terms) == 9
+    assert all(max(t.coeff.re.denominator, t.coeff.im.denominator) <= 10**12 for t in kernel.terms)
 
 
 def test_model_inverse_rejects_weight_on_root():

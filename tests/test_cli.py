@@ -301,6 +301,27 @@ def test_op_inverse_weight_on_root_is_exit_2(tmp_path, capsys):
     code = main(["--json", "op", "inverse", op, "--gamma", "-1"])
     capsys.readouterr()
     assert code == 2
+    # an exact root is compared by equality: 1e-10 beside it is admissible
+    op0 = write(tmp_path, "op0.json", {"coeffs": [["0"], ["1"]]})
+    code, out = run(capsys, "op", "split", op0, "--gamma", "1/10000000000")
+    assert code == 0 and out == "E_lb = {}\nE_rb = {(0,0)}+N0\n"
+
+
+def test_negative_rational_flag_values_need_no_equals_sign(tmp_path, capsys):
+    op = write(tmp_path, "op.json", {"coeffs": [["1"], ["1"]]})
+    s = write(tmp_path, "s.json", {"generators": [{"re": "-2", "p": 0}]})
+    for argv, flag, value in (
+        (["op", "split", op], "--gamma", "-1/2"),
+        (["op", "inverse", op], "--gamma", "-3/4"),
+        (["--json", "op", "split", op], "--gamma", "-1e-3"),
+        (["op", "split", op], "--gamma", "-2/2"),  # on the root: exit 2
+        (["indexset", "truncate", s], "--truncate", "-3/2"),
+    ):
+        spaced = exit_code(argv + [flag, value]), capsys.readouterr().out
+        joined = exit_code(argv + [f"{flag}={value}"]), capsys.readouterr().out
+        assert spaced == joined and spaced[0] in (0, 2), (argv, value, spaced)
+    assert exit_code(["op", "split", op, "--gamma", "-x"]) == 1
+    assert "--gamma: expected one argument" in capsys.readouterr().err
 
 
 def test_op_compose_threshold_is_exit_2(tmp_path, capsys):
