@@ -6,6 +6,10 @@ calculus operations and print deterministic text or JSON reports.
 handler, the kind of each file it reads, and the flags it reads.  The
 parser is built from it, so a wrong number of files or a flag the action
 does not read is a usage error; ``--json`` is accepted anywhere.
+Each action loads only the layer it runs: this module imports the index-set
+layer and ``serialize`` at the top, and each handler imports its own layer
+in its body (``geometry`` for ``space`` and ``map``, ``transport`` for
+``transport``, ``boperators`` for ``op``), calling it through the module.
 NumPy loads only where floats are crunched: ``apply-check``, ``hs`` and
 ``verify`` import ``numeric`` inside their handlers, and an ``op`` action
 runs the float root finder when an indicial factor has degree two or more.
@@ -22,9 +26,6 @@ import re
 import sys
 from fractions import Fraction
 
-from . import boperators as bop
-from . import geometry as geo
-from . import transport
 from .errors import HypothesisViolation, NumericFailure, SchemaError
 from .indexsets import IndexFamily, IndexSet, complete
 from .rationals import as_fraction
@@ -98,6 +99,8 @@ def _indexset_truncate(args, s):
 
 
 def _space_quadrant(args):
+    from . import geometry as geo
+
     names = tuple(args.names.split(",")) if args.names else None
     lat = geo.model_quadrant(args.k, args.n, names)
     payload = lat.to_jsonable()
@@ -108,6 +111,8 @@ def _space_quadrant(args):
 
 
 def _space_blowup(args, lat):
+    from . import geometry as geo
+
     rec = geo.blow_up_face(lat, args.center.split(","), args.name)
     payload = {
         "center": sorted(rec.center),
@@ -122,6 +127,8 @@ def _space_blowup(args, lat):
 
 
 def _space_triple(args):
+    from . import geometry as geo
+
     lattice, _records = geo.triple_b_space()
     payload = {
         "lattice": lattice.to_jsonable(),
@@ -139,6 +146,8 @@ def _space_triple(args):
 
 
 def _map_compose(args, f, g):
+    from . import geometry as geo
+
     c = geo.compose(f, g)
     lines = ["exponent matrix rows (source bhs) x columns (target bhs):"]
     for name, row in zip(c.source.bhs_names, c.exponents):
@@ -147,6 +156,8 @@ def _map_compose(args, f, g):
 
 
 def _map_facemap(args, f):
+    from . import geometry as geo
+
     face = [] if args.face in ("", "-") else args.face.split(",")
     image = geo.induced_face_map(f, face)
     payload = {"face": sorted(face), "image": sorted(image)}
@@ -154,6 +165,8 @@ def _map_facemap(args, f):
 
 
 def _map_check_bfibration(args, f):
+    from . import geometry as geo
+
     report = geo.check_b_fibration(f)
     lines = [f"codimension condition: {'ok' if report.codim_ok else 'VIOLATED'}"]
     if report.violating_faces:
@@ -175,11 +188,15 @@ def _family_lines(fam: IndexFamily):
 
 
 def _transport_pullback(args, f, fam):
+    from . import transport
+
     result = transport.pull_back_family(f, fam)
     return result.to_jsonable(), ["pulled-back family:"] + _family_lines(result), 0
 
 
 def _transport_pushforward(args, f, fam):
+    from . import transport
+
     if len(f.target.bhs_names) == 1:
         report = transport.push_forward_halfline(f, fam)
         lines = ["push-forward index set:"]
@@ -197,6 +214,8 @@ def _transport_pushforward(args, f, fam):
 
 
 def _op_specb(args, op):
+    from . import boperators as bop
+
     ind = bop.indicial(op)
     payload = {
         "polynomial": [str(c) for c in ind.polynomial],
@@ -211,6 +230,8 @@ def _op_specb(args, op):
 
 
 def _op_split(args, op):
+    from . import boperators as bop
+
     e_lb, e_rb = bop.split_spec(bop.indicial(op), args.gamma)
     payload = {"E_lb": e_lb.to_jsonable(), "E_rb": e_rb.to_jsonable()}
     lines = [f"E_lb = {e_lb}", f"E_rb = {e_rb}"]
@@ -218,6 +239,8 @@ def _op_split(args, op):
 
 
 def _op_inverse(args, op):
+    from . import boperators as bop
+
     kernel = bop.model_inverse(bop.indicial(op), args.gamma)
     lines = ["model kernel terms (s = ratio variable):"]
     for t in kernel.terms:
@@ -226,6 +249,7 @@ def _op_inverse(args, op):
 
 
 def _op_apply_check(args, op):
+    from . import boperators as bop
     from . import numeric as num
 
     kernel = bop.model_inverse(bop.indicial(op), args.gamma)
@@ -239,16 +263,22 @@ def _op_apply_check(args, op):
 
 
 def _op_compose(args, p, q):
+    from . import boperators as bop
+
     c = bop.compose_descriptors(p, q)
     lines = [f"order {c.order}", f"E_lb = {c.E_lb}", f"E_rb = {c.E_rb}"]
     return c.to_jsonable(), lines, 0
 
 
 def _op_action(args, p, f_set):
+    from . import boperators as bop
+
     return _set_report(bop.action_index(p, f_set), args.truncate)
 
 
 def _op_parametrix(args, op):
+    from . import boperators as bop
+
     report = bop.parametrix_indices(op, args.gamma, args.steps)
     lines = [
         f"parametrix: order {report.parametrix.order}, "
@@ -259,6 +289,7 @@ def _op_parametrix(args, op):
 
 
 def _op_hs(args):
+    from . import boperators as bop
     from . import numeric as num
 
     bump = num.smooth_bump(1.0, 0.5)
@@ -356,10 +387,13 @@ _COMMANDS = {
     "verify": "run the verification suite",
 }
 
-_SET, _MAP, _OP, _DESC = IndexSet, geo.BMapDescriptor, bop.BDiffOp, bop.FullCalcDescriptor
+_SET, _MAP, _FAM = "IndexSet", "BMapDescriptor", "IndexFamily"
+_OP, _DESC = "BDiffOp", "FullCalcDescriptor"
 
 # (command, action) -> (handler, kinds of its files, flags it reads); a kind
-# of None reads any object.  verify has no action.
+# is the class name of the object a file must hold (so the table names the
+# kinds without importing their modules), and None reads any object.  verify
+# has no action.
 _ACTIONS = {
     ("indexset", "union"): (_set_operation("union"), (_SET, _SET), ("--truncate",)),
     ("indexset", "extunion"): (_set_operation("extended_union"), (_SET, _SET), ("--truncate",)),
@@ -368,13 +402,13 @@ _ACTIONS = {
     ("indexset", "inf"): (_indexset_inf, (_SET,), ()),
     ("indexset", "truncate"): (_indexset_truncate, (_SET,), ("--truncate",)),
     ("space", "quadrant"): (_space_quadrant, (), ("-k", "-n", "--names")),
-    ("space", "blowup"): (_space_blowup, (geo.FaceLattice,), ("--center", "--name")),
+    ("space", "blowup"): (_space_blowup, ("FaceLattice",), ("--center", "--name")),
     ("space", "triple"): (_space_triple, (), ()),
     ("map", "compose"): (_map_compose, (_MAP, _MAP), ()),
     ("map", "facemap"): (_map_facemap, (_MAP,), ("--face",)),
     ("map", "check-bfibration"): (_map_check_bfibration, (_MAP,), ()),
-    ("transport", "pullback"): (_transport_pullback, (_MAP, IndexFamily), ()),
-    ("transport", "pushforward"): (_transport_pushforward, (_MAP, IndexFamily), ("--truncate",)),
+    ("transport", "pullback"): (_transport_pullback, (_MAP, _FAM), ()),
+    ("transport", "pushforward"): (_transport_pushforward, (_MAP, _FAM), ("--truncate",)),
     ("op", "specb"): (_op_specb, (_OP,), ()),
     ("op", "split"): (_op_split, (_OP,), ("--gamma",)),
     ("op", "inverse"): (_op_inverse, (_OP,), ("--gamma",)),

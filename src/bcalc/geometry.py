@@ -45,6 +45,9 @@ class FaceLattice:
     def __post_init__(self):
         if type(self.dimension) is not int:
             raise LatticeError(f"dimension must be an integer, got {self.dimension!r}")
+        for name in self.bhs_names:  # --names, --center and --face split on ","
+            if not (isinstance(name, str) and name and "," not in name):
+                raise LatticeError(f"bhs name {name!r} must be a non-empty string without ','")
         names = set(self.bhs_names)
         if len(names) != len(self.bhs_names):
             raise LatticeError("duplicate boundary hypersurface names")

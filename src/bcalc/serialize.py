@@ -7,16 +7,15 @@ adds schema sniffing so CLI arguments can be plain files of any supported
 kind.  It is also the one place where decoded JSON that cannot be read
 becomes a ``SchemaError``: each reader passes fields as written to its
 constructor, and whatever the reader or the constructor raises is reported
-here.
+here.  ``geometry`` and ``boperators`` are imported only in the branch that
+reads one of their schemas, so reading an index set loads neither.
 """
 from __future__ import annotations
 
 import json
 from pathlib import Path
 
-from .boperators import BDiffOp, FullCalcDescriptor
 from .errors import SchemaError
-from .geometry import BMapDescriptor, FaceLattice
 from .indexsets import IndexEntry, IndexFamily, IndexSet
 
 
@@ -30,12 +29,16 @@ def parse_object(data):
         if "assignment" in data:
             return IndexFamily.from_jsonable(data)
         if "e" in data and "source" in data:
+            from .geometry import BMapDescriptor
             return BMapDescriptor.from_jsonable(data)
         if "bhs" in data:
+            from .geometry import FaceLattice
             return FaceLattice.from_jsonable(data)
         if "coeffs" in data:
+            from .boperators import BDiffOp
             return BDiffOp.from_jsonable(data)
         if "E_lb" in data:
+            from .boperators import FullCalcDescriptor
             return FullCalcDescriptor.from_jsonable(data)
         if "entries" in data:  # a raw entry list, as ``indexset complete`` reads it
             entries = data["entries"]
@@ -59,10 +62,9 @@ def load_object(path):
         raise SchemaError(f"{path}: {exc}") from exc
 
 
-def load_typed(path, kind):
+def load_typed(path, kind: str):
+    """The object in ``path``, which must be of the class named ``kind``."""
     obj = load_object(path)
-    if not isinstance(obj, kind):
-        raise SchemaError(
-            f"{path}: expected {kind.__name__}, found {type(obj).__name__}"
-        )
+    if type(obj).__name__ != kind:
+        raise SchemaError(f"{path}: expected {kind}, found {type(obj).__name__}")
     return obj

@@ -122,6 +122,23 @@ def test_space_commands(tmp_path, capsys):
     assert len(json.loads(out)["lattice"]["bhs"]) == 7
 
 
+def test_space_refuses_bhs_names_that_cannot_be_addressed(tmp_path, capsys):
+    # --names, --center and --face split on ",", and "" is the empty face, so
+    # an empty name or one with a comma could never be selected again
+    quad = write(tmp_path, "quad.json", geo.model_quadrant(2, 2, ("H1", "H2")))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"dim": 2, "bhs": ["", "a,b"],
+                               "faces": [[], [""], ["a,b"], ["", "a,b"]]}))
+    for argv in (["space", "quadrant", "-k", "2", "-n", "2", "--names", "a,"],
+                 ["space", "blowup", quad, "--center", "H1,H2", "--name", "a,b"],
+                 ["space", "blowup", quad, "--center", "H1,H2", "--name", ""],
+                 ["space", "blowup", str(bad), "--center", "a,b", "--name", "ff"]):
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err.count("\n")) == ("", 1), argv
+        assert "must be a non-empty string without ','" in captured.err, argv
+
+
 def test_transport_pushforward_exit_codes(tmp_path, capsys):
     proj = write(tmp_path, "proj.json", geo.halfline_projection(1))
     lat = geo.x2b_lattice()
@@ -555,6 +572,49 @@ print(json.dumps({{"codes": codes, "loaded": loaded, "apply": json.loads(out.get
     # quadrature loads both
     assert report["loaded"] == [[False, False]] * 6 + [[True, True]]
     assert report["apply"]["max_residual"] < 1e-5
+
+
+def test_each_action_loads_only_its_layer(tmp_path):
+    smooth = write(tmp_path, "smooth.json", SMOOTH)
+    proj = write(tmp_path, "proj.json", geo.halfline_projection(1))
+    fam = write(tmp_path, "fam.json", IndexFamily.of(
+        {"lb": SMOOTH, "ff": SMOOTH, "rb": IndexSet.from_entries([(1, 0)])}, geo.x2b_lattice()))
+    pi2 = write(tmp_path, "pi2.json", geo.lifted_projection(2))
+    desc = write(tmp_path, "desc.json", bop.FullCalcDescriptor(-1.0, EMPTY, SMOOTH.shift(1)))
+    op = write(tmp_path, "op.json", bop.BDiffOp.from_lists([[1], [1]]))
+    child = """
+import contextlib, io, json, sys
+argv = json.loads(sys.argv[1])
+import bcalc, bcalc.cli
+if argv:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = bcalc.cli.main(argv)
+else:  # the benchmark's setup snippet
+    from bcalc import geometry
+    geometry.x2b(); geometry.triple_b_space()
+    code = 0
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "bcalc"),
+                  "numpy" in sys.modules]))
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+
+    def loads(*argv):
+        proc = subprocess.run([sys.executable, "-c", child, json.dumps(argv)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        code, modules, numpy = json.loads(proc.stdout)
+        assert code == 0 and not numpy, (argv, code, numpy)
+        return {m.removeprefix("bcalc.") for m in modules}
+
+    core = {"bcalc", "cli", "errors", "indexsets", "rationals", "serialize"}
+    assert loads() == core | {"geometry"}
+    assert loads("indexset", "extunion", smooth, smooth) == core
+    assert loads("space", "triple") == core | {"geometry"}
+    assert loads("map", "compose", pi2, proj) == core | {"geometry"}
+    assert loads("transport", "pushforward", proj, fam) == core | {"geometry", "transport"}
+    # a first-order operator's root is exact, so no root finder runs
+    assert loads("op", "compose", desc, desc) == core | {"boperators"}
+    assert loads("op", "specb", op) == core | {"boperators"}
 
 
 def test_numeric_failure_is_exit_3(capsys):
