@@ -44,105 +44,104 @@ if TYPE_CHECKING:
 
 
 # ---------------------------------------------------------------------------
-# exact polynomial helpers (coefficients ascending, ComplexRational)
+# exact polynomial core over the Gaussian integers: a coefficient is an
+# (re, im) pair of ints, a polynomial a tuple of them, ascending
 # ---------------------------------------------------------------------------
 
 
-def _ptrim(p):
-    p = list(p)
-    while p and not p[-1]:
-        p.pop()
-    return tuple(p)
+def _gmul(a, b):
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
 
 
-def _pdeg(p):
-    return len(p) - 1
+def _gsub(a, b):
+    return a[0] - b[0], a[1] - b[1]
 
 
-def _padd(p, q):
-    n = max(len(p), len(q))
-    return _ptrim(
-        (p[i] if i < len(p) else ZERO) + (q[i] if i < len(q) else ZERO) for i in range(n)
-    )
+def _gdiv(a, b, exact=True):
+    """a / b in Z[i]: exact when b divides a, else rounded to the nearest."""
+    if exact and not b[1]:  # a real divisor need not be squared
+        return a[0] // b[0], a[1] // b[0]
+    n = b[0] * b[0] + b[1] * b[1]
+    re, im = a[0] * b[0] + a[1] * b[1], a[1] * b[0] - a[0] * b[1]
+    return (re // n, im // n) if exact else ((2 * re + n) // (2 * n), (2 * im + n) // (2 * n))
 
 
-def _pneg(p):
-    return tuple(-c for c in p)
+def _ggcd(a, b):
+    while b != (0, 0):
+        a, b = b, _gsub(a, _gmul(_gdiv(a, b, exact=False), b))
+    return a
 
 
-def _pscale(p, c):
-    return _ptrim(x * c for x in p)
+def _primitive(p):
+    """p (nonzero) divided by a Gaussian gcd of its coefficients."""
+    n = math.gcd(*(x for c in p for x in c))  # the rational-integer part, fast
+    p, g = tuple((a // n, b // n) for a, b in p), (0, 0)
+    for c in p:
+        g = _ggcd(c, g)
+    return tuple(_gdiv(c, g) for c in p)
 
 
-def _pderiv(p):
-    return _ptrim(p[i] * i for i in range(1, len(p)))
+def _gaussian(poly):
+    """The primitive Z[i] polynomial of an exact one: denominators cleared once."""
+    den = math.lcm(*(x.denominator for c in poly for x in (c.re, c.im)))
+    return _primitive(tuple((int(c.re * den), int(c.im * den)) for c in poly))
 
 
-def _pdivmod(p, q):
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(p)
-    quot = [ZERO] * max(0, len(p) - len(q) + 1)
-    dq = len(q) - 1
-    lead = q[-1]
-    for i in range(len(rem) - 1, dq - 1, -1):
-        if not rem[i]:
-            continue
-        c = rem[i] / lead
-        quot[i - dq] = c
-        for j in range(len(q)):
-            rem[i - dq + j] = rem[i - dq + j] - c * q[j]
-    return _ptrim(quot), _ptrim(rem)
+def _pdivide(p, q, exact=False):
+    """The pseudo-remainder lc(q)^(deg p - deg q + 1) p mod q, or with ``exact``
+    the quotient p / q, for q dividing p."""
+    rem, dq, quo = list(p), len(q) - 1, []
+    while len(rem) > dq:
+        c = rem.pop()
+        if exact:
+            c = _gdiv(c, q[-1])
+            quo.append(c)
+        else:
+            rem = [_gmul(q[-1], x) for x in rem]
+        for j, y in enumerate(q[:-1], len(rem) - dq):
+            rem[j] = _gsub(rem[j], _gmul(c, y))
+    while rem and rem[-1] == (0, 0):
+        rem.pop()
+    return tuple(quo[::-1]) if exact else tuple(rem)
 
 
-def _pmonic(p):
-    return _pscale(p, ONE / p[-1]) if p else ()
-
-
-def _pgcd(p, q):
-    a, b = _ptrim(p), _ptrim(q)
-    while b:
-        _, r = _pdivmod(a, b)
-        a, b = b, r
-    return _pmonic(a)
-
-
-def _peval(p, z: ComplexRational) -> ComplexRational:
-    acc = ZERO
-    for c in reversed(p):
-        acc = acc * z + c
-    return acc
-
-
-def yun_squarefree(p):
-    """Exact square-free decomposition: list of (monic factor, multiplicity).
-
-    Multiplicities are recovered exactly, so later numeric root finding only
-    ever sees simple roots of each factor (double roots would otherwise be
-    smeared by ~1e-8 in floating point, far beyond the cluster tolerance).
-    """
-    p = _pmonic(_ptrim(p))
-    if _pdeg(p) < 1:
-        return []
-    d = _pgcd(p, _pderiv(p))
-    b, _ = _pdivmod(p, d)
-    c, _ = _pdivmod(_pderiv(p), d)
-    delta = _padd(c, _pneg(_pderiv(b)))
-    out = []
-    i = 1
-    while _pdeg(b) > 0:
-        a_i = _pgcd(b, delta)
-        if _pdeg(a_i) > 0:
-            out.append((a_i, i))
-        b, _ = _pdivmod(b, a_i)
-        c, _ = _pdivmod(delta, a_i)
-        delta = _padd(c, _pneg(_pderiv(b)))
-        i += 1
+def _gpow(a, k):
+    out = (1, 0)
+    for _ in range(k):
+        out = _gmul(out, a)
     return out
 
 
+def _pgcd(p, q):
+    """The primitive gcd of primitive p and q: the subresultant PRS of Knuth,
+    TAOCP vol. 2, 4.6.1, Algorithm C (delta is 0 only in step one, where h is 1)."""
+    if len(p) < len(q):
+        p, q = q, p
+    g = h = (1, 0)
+    while q:
+        delta, r = len(p) - len(q), _pdivide(p, q)
+        d = _gmul(g, _gpow(h, delta))
+        p, q, g = q, tuple(_gdiv(c, d) for c in r), q[-1]
+        h = _gdiv(_gpow(g, delta), _gpow(h, delta - 1))
+    return _primitive(p)
+
+
+def _squarefree(p):
+    """Musser's square-free decomposition of a primitive p of degree >= 1,
+    [(primitive factor, multiplicity)], by gcds and exact quotients only: the
+    float root finder then sees only simple roots (a double root would be
+    smeared by ~1e-8 in floating point, far beyond the cluster tolerance)."""
+    c = _pgcd(p, _primitive(tuple((i * a, i * b) for i, (a, b) in enumerate(p) if i)))
+    w, out, i = _pdivide(p, c, exact=True), [], 1
+    while len(c) > 1:
+        y = _pgcd(w, c)
+        if len(w) > len(y):
+            out.append((_pdivide(w, y, exact=True), i))
+        w, c, i = y, _pdivide(c, y, exact=True), i + 1
+    return out + [(w, i)]
+
+
 _CLUSTER_TOL = 1e-9
-_VERIFY_DENOMS = (1, 100, 10**6, 10**9)
 
 
 @dataclass(frozen=True)
@@ -153,39 +152,38 @@ class Root:
 
 
 def _squarefree_roots(factor):
-    """Roots of a square-free exact polynomial; rationalize-and-verify.
+    """Roots of a primitive square-free factor, each exact or marked inexact.
 
-    Degree-one factors are solved exactly.  Otherwise companion-matrix
-    eigenvalues are computed and each is replaced by a small-denominator
-    rational exactly verified against the polynomial; unverifiable roots stay
-    numeric (marked inexact).  A candidate is only tried when it is closer to
-    its eigenvalue than half the distance to the nearest other eigenvalue,
-    so it cannot be a neighbouring root of the same factor.  A factor with a
-    coefficient beyond the float range is refused with ``ValueError``.
+    A degree-one factor is solved exactly, others by NumPy on the monic
+    factor.  A Gaussian-rational root of a primitive factor has a denominator
+    dividing its leading coefficient a_n, so each float root r gets one
+    candidate, round(a_n r) / a_n with a_n r formed exactly.  It is kept if it
+    is closer to r than half the distance to the nearest other float root
+    and the factor vanishes there exactly.  Monic coefficients beyond the
+    float range are refused with ``ValueError``.
     """
-    deg = _pdeg(factor)
+    deg, lead, a_n = len(factor) - 1, factor[-1], ComplexRational.of(*factor[-1])
     if deg == 1:
-        return [(-factor[0] / factor[1], True)]
+        return [(-ComplexRational.of(*factor[0]) / a_n, True)]
     import numpy as np
 
+    monic = [ComplexRational.of(*c) / a_n for c in reversed(factor)]
+    # real companion matrix: exact double roots stay real instead of
+    # splitting into a conjugate pair at ~sqrt(machine eps)
+    real = all(c.is_real for c in monic)
     try:
-        if all(c.is_real for c in factor):
-            # real companion matrix: exact double roots stay real instead of
-            # splitting into a conjugate pair at ~sqrt(machine eps)
-            numeric = np.roots([float(c.re) for c in reversed(factor)])
-        else:
-            numeric = np.roots([c.as_complex() for c in reversed(factor)])
+        numeric = np.roots([float(c.re) if real else c.as_complex() for c in monic])
     except OverflowError:
         raise ValueError(f"a coefficient of the degree-{deg} indicial factor is "
                          f"too large for the float root finder") from None
     out = []
     for i, r in enumerate(numeric):
         radius = min(abs(r - s) for j, s in enumerate(numeric) if j != i) / 2
-        for md in _VERIFY_DENOMS:
-            cand = ComplexRational.from_complex(r, md)
-            if abs(cand.as_complex() - r) < radius and not _peval(factor, cand):
-                out.append((cand, True))
-                break
+        w = tuple(round(x) for x in _gmul(lead, (Fraction(r.real), Fraction(r.imag))))
+        cand = ComplexRational.of(*w) / a_n
+        # the factor vanishes at w / a_n iff a_n z - w divides it
+        if abs(cand.as_complex() - r) < radius and not _pdivide(factor, ((-w[0], -w[1]), lead)):
+            out.append((cand, True))
         else:
             out.append((complex(r), False))
     return out
@@ -210,18 +208,16 @@ def _cluster_numeric(roots):
 
 
 def polynomial_roots(poly) -> tuple:
-    """Roots with multiplicities of an exact polynomial.
+    """Roots with multiplicities of an exact polynomial, leading coefficient nonzero.
 
-    Exact square-free decomposition first; rational (Gaussian-rational)
-    roots are verified exactly, remaining numeric roots are clustered at
-    tolerance 1e-9 and rationalized for storage.
+    Square-free factors over the Gaussian integers first; each exact root is
+    found by the a_n rule of ``_squarefree_roots``, and the numeric roots
+    left are clustered at tolerance 1e-9 and rationalized for storage.
     """
-    poly = _ptrim(poly)
-    if _pdeg(poly) < 1:
+    if len(poly) < 2:
         return ()
-    exact_roots = []
-    numeric_roots = []
-    for factor, mult in yun_squarefree(poly):
+    exact_roots, numeric_roots = [], []
+    for factor, mult in _squarefree(_gaussian(poly)):
         for value, is_exact in _squarefree_roots(factor):
             if is_exact:
                 exact_roots.append(Root(value, mult, True))
@@ -322,9 +318,8 @@ def _check_admissible(ind: IndicialData, gamma: Fraction):
     """
     for r in ind.roots:
         if abs(r.value.re - gamma) <= (0 if r.exact else _WEIGHT_GAP):
-            raise InadmissibleWeight(
-                f"weight {gamma} is within {_WEIGHT_GAP} of root Re z = {r.value.re}"
-            )
+            relation = "equals" if r.exact else f"is within {_WEIGHT_GAP} of"
+            raise InadmissibleWeight(f"weight {gamma} {relation} root Re z = {r.value.re}")
 
 
 def split_spec(ind: IndicialData, gamma) -> tuple:
@@ -460,7 +455,7 @@ def model_inverse(ind: IndicialData, gamma) -> ModelKernel:
     """
     gamma = as_fraction(gamma)
     _check_admissible(ind, gamma)
-    if _pdeg(ind.polynomial) < 1:
+    if len(ind.polynomial) < 2:
         raise ValueError("indicial polynomial is constant; nothing to invert")
     lc = ind.polynomial[-1]
     exact = all(r.exact for r in ind.roots)

@@ -5,11 +5,12 @@ pairs of ``fractions.Fraction``.  Equality is decidable, arithmetic is exact,
 and the total output order used everywhere is lexicographic in (re, im).
 
 ``ComplexRational.from_complex`` is the only place where a float is
-rounded into a Fraction (the root finder's candidates and cluster centres);
-``as_fraction`` refuses a float.  ``ComplexRational.rounded`` is the one
-rounding rule: ``from_complex`` applies it, and so does ``model_inverse`` to
-its coefficients when a root is inexact.  This module holds the only JSON
-codec for a scalar (``ComplexRational.to_jsonable``/``from_jsonable``).
+rounded into a Fraction: the root finder's cluster centres (a root candidate
+is an integer rounding, kept only when verified).  ``as_fraction`` refuses a
+float.  ``ComplexRational.rounded`` is the one rounding rule: ``from_complex``
+applies it, and so does ``model_inverse`` to its coefficients when a root is
+inexact.  This module holds the only JSON codec for a scalar
+(``ComplexRational.to_jsonable``/``from_jsonable``).
 """
 from __future__ import annotations
 
@@ -61,13 +62,13 @@ class ComplexRational:
         return cls(as_fraction(value))
 
     @classmethod
-    def from_complex(cls, z: complex, max_denominator: int = _FLOAT_RATIONALIZE_DEN):
-        return cls(Fraction(float(z.real)), Fraction(float(z.imag))).rounded(max_denominator)
+    def from_complex(cls, z: complex) -> "ComplexRational":
+        return cls(Fraction(float(z.real)), Fraction(float(z.imag))).rounded()
 
-    def rounded(self, max_denominator: int = _FLOAT_RATIONALIZE_DEN) -> "ComplexRational":
-        """The closest parts with denominators at most ``max_denominator``."""
-        return ComplexRational(self.re.limit_denominator(max_denominator),
-                               self.im.limit_denominator(max_denominator))
+    def rounded(self) -> "ComplexRational":
+        """The closest parts with denominators at most ``_FLOAT_RATIONALIZE_DEN``."""
+        return ComplexRational(self.re.limit_denominator(_FLOAT_RATIONALIZE_DEN),
+                               self.im.limit_denominator(_FLOAT_RATIONALIZE_DEN))
 
     def to_jsonable(self) -> dict:
         return {"re": str(self.re), "im": str(self.im)}

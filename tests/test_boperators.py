@@ -7,6 +7,7 @@ import hypothesis.strategies as st
 import mpmath
 import numpy as np
 import pytest
+import sympy
 from hypothesis import example, given, settings
 
 from bcalc import boperators as bop
@@ -125,12 +126,83 @@ rational_roots = st.dictionaries(
 @example({CR.of(0): 2, CR.of(Fraction(1, 2)): 2, CR.of(1): 1})
 @given(rational_roots)
 def test_indicial_recovers_rational_roots_exactly(roots):
-    # a small-denominator guess must not snap a root onto a neighbour of the
-    # same square-free factor, e.g. 1/2 onto 0
+    # a rounded candidate must not snap a root onto a neighbour of the same
+    # square-free factor, e.g. 1/2 onto 0
     ind = bop.indicial(op_from(*[[c] for c in _product(roots)]))
     assert {(r.value, r.multiplicity, r.exact) for r in ind.roots} == {
         (z, m, True) for z, m in roots.items()
     }
+
+
+def test_tiny_constant_term_gives_two_exact_simple_roots():
+    # z^2 + 10^-20: the float roots +-10^-10 i are read exactly off a_n = 10^20
+    ind = bop.indicial(op_from([Fraction(1, 10**20)], [0], [1]))
+    assert {(r.value, r.multiplicity, r.exact) for r in ind.roots} == {
+        (CR.of(0, Fraction(s, 10**10)), 1, True) for s in (-1, 1)
+    }
+
+
+def test_root_with_a_large_denominator_is_exact():
+    # (z - 1)(z - 1/q): the denominator q divides the leading coefficient of
+    # the primitive integer polynomial q z^2 - (q + 1) z + 1
+    q = 1000000007
+    ind = bop.indicial(op_from([Fraction(1, q)], [-Fraction(q + 1, q)], [1]))
+    assert {(r.value, r.multiplicity, r.exact) for r in ind.roots} == {
+        (CR.of(1), 1, True), (CR.of(Fraction(1, q)), 1, True)
+    }
+
+
+gaussian_rationals = st.builds(lambda a, b, d: CR.of(Fraction(a, d), Fraction(b, d)),
+                               st.integers(-6, 6), st.integers(-6, 6), st.integers(1, 4))
+# dense factors of degree 1-2, and sparse z^k + c, whose remainder sequences skip degrees
+base_factors = (st.lists(gaussian_rationals, min_size=2, max_size=3).filter(lambda f: f[-1])
+                | st.builds(lambda c, k: [c] + [CR.of(0)] * k + [CR.of(1)],
+                            gaussian_rationals, st.integers(1, 3)))
+
+
+def _shifted(p, shift):
+    """Ascending coefficients of p(z + shift)."""
+    out = [p[-1]]
+    for c in reversed(p[:-1]):
+        out = _mul(out, [shift, CR.of(1)])
+        out[0] = out[0] + c
+    return out
+
+
+def _monic(f):
+    """A Gaussian-integer polynomial of the core as monic exact coefficients."""
+    return tuple(CR.of(*c) / CR.of(*f[-1]) for c in f)
+
+
+def _to_sympy(p):
+    z = sympy.Symbol("z")
+    coeffs = [sympy.Rational(str(c.re)) + sympy.I * sympy.Rational(str(c.im)) for c in reversed(p)]
+    return sympy.Poly(coeffs, z, domain=sympy.QQ_I)
+
+
+def _from_sympy(f):
+    coeffs = reversed(f.monic().all_coeffs())
+    return tuple(CR.of(str(sympy.re(c)), str(sympy.im(c))) for c in coeffs)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(base_factors, min_size=1, max_size=2),
+       st.lists(st.tuples(st.integers(0, 1), gaussian_rationals, st.integers(1, 3)),
+                min_size=1, max_size=3),
+       gaussian_rationals.filter(bool))
+def test_squarefree_and_gcd_agree_with_sympy(bases, terms, lead):
+    # products of shifted copies of a few Gaussian-rational factors
+    factors = [(_shifted(bases[k % len(bases)], shift), m) for k, shift, m in terms]
+    p = [lead]
+    for f, m in factors:
+        for _ in range(m):
+            p = _mul(p, f)
+    got = {(_monic(f), m) for f, m in bop._squarefree(bop._gaussian(p))}
+    _, want = _to_sympy(p).sqf_list()
+    assert got == {(_from_sympy(f), m) for f, m in want}
+    q = _mul(factors[0][0], bases[-1])
+    gcd = bop._pgcd(bop._gaussian(p), bop._gaussian(q))
+    assert _monic(gcd) == _from_sympy(sympy.gcd(_to_sympy(p), _to_sympy(q)))
 
 
 def test_perturbed_double_root_clusters():
@@ -170,13 +242,13 @@ def test_split_symmetric_second_order():
 def test_split_rejects_weight_on_root():
     c = Fraction(2, 3)
     ind = bop.indicial(op_from([c], [1]))
-    with pytest.raises(InadmissibleWeight):
+    with pytest.raises(InadmissibleWeight, match="weight -2/3 equals root Re z = -2/3"):
         bop.split_spec(ind, -c)
     # an exact root is compared by equality, an inexact one within 1e-9
     assert bop.split_spec(ind, -c + Fraction(1, 10**10)) == (EMPTY, S((c, 0)))
     ind = bop.indicial(op_from([-2], [0], [1]))  # roots +-sqrt(2), stored inexactly
     near = max(r.value.re for r in ind.roots) + Fraction(1, 10**10)
-    with pytest.raises(InadmissibleWeight):
+    with pytest.raises(InadmissibleWeight, match="is within 1e-09 of root"):
         bop.split_spec(ind, near)
 
 

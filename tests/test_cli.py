@@ -279,6 +279,35 @@ def test_op_actions_keep_a_root_beyond_float_range_exact(tmp_path, capsys):
     assert json.loads(out)["parametrix"]["E_rb"]["generators"] == [{"re": big, "im": "0", "p": 0}]
 
 
+def test_op_split_of_a_tiny_constant_term_prints_no_log(tmp_path, capsys):
+    # z^2 + 10^-20 has the two simple roots +-10^-10 i, both exact
+    op = write(tmp_path, "op.json", {"coeffs": [["1e-20"], ["0"], ["1"]]})
+    assert run(capsys, "op", "split", op, "--gamma", "1/2") == (
+        0, "E_lb = {}\nE_rb = {(0-1/10000000000i,0), (0+1/10000000000i,0)}+N0\n")
+
+
+def test_op_output_for_coefficients_below_float_range(tmp_path, capsys):
+    # 10^-400 is 0.0 to the float root finder: z^2 + 10^-400 z + 1 keeps its
+    # inexact roots +-i, and z^2 + 10^-400 still prints one double root 0 (a
+    # known defect, ROADMAP item 3: its roots +-10^-200 i are simple)
+    want = {
+        (("1",), ("1e-400",), ("1",)): (
+            "boundary spectrum:\n  z = 0-1i         p = 0\n  z = 0+1i         p = 0\n",
+            "E_lb = {}\nE_rb = {(0-1i,0), (0+1i,0)}+N0\n",
+            "model kernel terms (s = ratio variable):\n"
+            "  side=rb z=0-1i p=0 coeff=0-1/2i\n  side=rb z=0+1i p=0 coeff=0+1/2i\n"),
+        (("1e-400",), ("0",), ("1",)): (
+            "boundary spectrum:\n  z = 0            p = 0\n  z = 0            p = 1\n",
+            "E_lb = {}\nE_rb = {(0,1)}+N0\n",
+            "model kernel terms (s = ratio variable):\n  side=rb z=0 p=1 coeff=1\n"),
+    }
+    for coeffs, outputs in want.items():
+        op = write(tmp_path, "op.json", {"coeffs": coeffs})
+        for action, out in zip((["specb"], ["split", "--gamma", "1/2"],
+                                ["inverse", "--gamma", "1/2"]), outputs):
+            assert run(capsys, "op", action[0], op, *action[1:]) == (0, out), (coeffs, action)
+
+
 def test_op_hs_samples_the_kernel_for_a_wide_support(capsys):
     # the bump's front-face norm, which one quadrature over [1/C, C] missed from C = 120
     code, out = run(capsys, "--json", "op", "hs", "--support-c", "1e6")
