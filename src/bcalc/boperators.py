@@ -53,32 +53,38 @@ def _gmul(a, b):
     return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
 
 
+def _gadd(a, b):
+    return a[0] + b[0], a[1] + b[1]
+
+
 def _gsub(a, b):
     return a[0] - b[0], a[1] - b[1]
 
 
-def _gdiv(a, b, exact=True):
-    """a / b in Z[i]: exact when b divides a, else rounded to the nearest."""
-    if exact and not b[1]:  # a real divisor need not be squared
-        return a[0] // b[0], a[1] // b[0]
-    n = b[0] * b[0] + b[1] * b[1]
-    re, im = a[0] * b[0] + a[1] * b[1], a[1] * b[0] - a[0] * b[1]
-    return (re // n, im // n) if exact else ((2 * re + n) // (2 * n), (2 * im + n) // (2 * n))
+def _gquo(a, b):
+    """The Gaussian integer nearest to a / b: the exact quotient when b divides a."""
+    if b[1]:
+        n = b[0] * b[0] + b[1] * b[1]
+        a = (a[0] * b[0] + a[1] * b[1], a[1] * b[0] - a[0] * b[1])
+    else:  # a real divisor, as in every subresultant step on real input, is not squared
+        n = b[0]
+    return (2 * a[0] + n) // (2 * n), (2 * a[1] + n) // (2 * n)
 
 
 def _ggcd(a, b):
     while b != (0, 0):
-        a, b = b, _gsub(a, _gmul(_gdiv(a, b, exact=False), b))
+        a, b = b, _gsub(a, _gmul(_gquo(a, b), b))
     return a
 
 
 def _primitive(p):
     """p (nonzero) divided by a Gaussian gcd of its coefficients."""
     n = math.gcd(*(x for c in p for x in c))  # the rational-integer part, fast
-    p, g = tuple((a // n, b // n) for a, b in p), (0, 0)
+    p = tuple((a // n, b // n) for a, b in p)
+    g = (0, 0)
     for c in p:
         g = _ggcd(c, g)
-    return tuple(_gdiv(c, g) for c in p)
+    return tuple(_gquo(c, g) for c in p)
 
 
 def _gaussian(poly):
@@ -87,22 +93,31 @@ def _gaussian(poly):
     return _primitive(tuple((int(c.re * den), int(c.im * den)) for c in poly))
 
 
-def _pdivide(p, q, exact=False):
-    """The pseudo-remainder lc(q)^(deg p - deg q + 1) p mod q, or with ``exact``
-    the quotient p / q, for q dividing p."""
-    rem, dq, quo = list(p), len(q) - 1, []
+def _prem(p, q):
+    """The pseudo-remainder of p by q: lc(q)^(deg p - deg q + 1) p mod q."""
+    rem = list(p)
+    dq = len(q) - 1
     while len(rem) > dq:
         c = rem.pop()
-        if exact:
-            c = _gdiv(c, q[-1])
-            quo.append(c)
-        else:
-            rem = [_gmul(q[-1], x) for x in rem]
+        rem = [_gmul(q[-1], x) for x in rem]
         for j, y in enumerate(q[:-1], len(rem) - dq):
             rem[j] = _gsub(rem[j], _gmul(c, y))
     while rem and rem[-1] == (0, 0):
         rem.pop()
-    return tuple(quo[::-1]) if exact else tuple(rem)
+    return tuple(rem)
+
+
+def _pquo(p, q):
+    """The quotient p / q, for q dividing p."""
+    rem = list(p)
+    dq = len(q) - 1
+    quo = []
+    while len(rem) > dq:
+        c = _gquo(rem.pop(), q[-1])
+        quo.append(c)
+        for j, y in enumerate(q[:-1], len(rem) - dq):
+            rem[j] = _gsub(rem[j], _gmul(c, y))
+    return tuple(quo[::-1])
 
 
 def _gpow(a, k):
@@ -119,10 +134,12 @@ def _pgcd(p, q):
         p, q = q, p
     g = h = (1, 0)
     while q:
-        delta, r = len(p) - len(q), _pdivide(p, q)
+        delta = len(p) - len(q)
         d = _gmul(g, _gpow(h, delta))
-        p, q, g = q, tuple(_gdiv(c, d) for c in r), q[-1]
-        h = _gdiv(_gpow(g, delta), _gpow(h, delta - 1))
+        r = tuple(_gquo(c, d) for c in _prem(p, q))
+        p, q = q, r
+        g = p[-1]
+        h = _gquo(_gpow(g, delta), _gpow(h, delta - 1))
     return _primitive(p)
 
 
@@ -132,12 +149,16 @@ def _squarefree(p):
     float root finder then sees only simple roots (a double root would be
     smeared by ~1e-8 in floating point, far beyond the cluster tolerance)."""
     c = _pgcd(p, _primitive(tuple((i * a, i * b) for i, (a, b) in enumerate(p) if i)))
-    w, out, i = _pdivide(p, c, exact=True), [], 1
+    w = _pquo(p, c)
+    out = []
+    i = 1
     while len(c) > 1:
         y = _pgcd(w, c)
         if len(w) > len(y):
-            out.append((_pdivide(w, y, exact=True), i))
-        w, c, i = y, _pdivide(c, y, exact=True), i + 1
+            out.append((_pquo(w, y), i))
+        c = _pquo(c, y)
+        w = y
+        i += 1
     return out + [(w, i)]
 
 
@@ -151,18 +172,55 @@ class Root:
     exact: bool
 
 
+def _candidate(factor, r, radius):
+    """round(a_n z) for z the root of a primitive factor near the float r.
+
+    z is r refined by Newton's method on the exact factor, in Gaussian
+    integers scaled by 2^P, to absolute precision 2^-P with P at least eight
+    bits beyond the size of a_n.  It stops early at a step longer than
+    ``radius``, which leaves r's root.
+    """
+    lead = factor[-1]
+    target = max(abs(lead[0]), abs(lead[1])).bit_length() + 8
+    bits = 64  # beyond the float's own precision; doubled while below target
+    z = (round(Fraction(r.real) * (1 << bits)), round(Fraction(r.imag) * (1 << bits)))
+    for _ in range(target.bit_length() + 8):
+        # Horner: f = 2^(nP) factor(z / 2^P), df = 2^((n-1)P) factor'(z / 2^P)
+        f = lead
+        df = (0, 0)
+        for k, c in enumerate(reversed(factor[:-1]), 1):
+            df = _gadd(_gmul(df, z), f)
+            f = _gadd(_gmul(f, z), (c[0] << k * bits, c[1] << k * bits))
+        if df == (0, 0):
+            break
+        step = _gquo(f, df)
+        if max(abs(step[0]), abs(step[1])).bit_length() > bits + math.frexp(radius)[1]:
+            break
+        z = _gsub(z, step)
+        if bits < target:
+            shift = min(bits, target - bits)
+            z = (z[0] << shift, z[1] << shift)
+            bits += shift
+        elif step == (0, 0):
+            break
+    return _gquo(_gmul(lead, z), (1 << bits, 0))
+
+
 def _squarefree_roots(factor):
     """Roots of a primitive square-free factor, each exact or marked inexact.
 
     A degree-one factor is solved exactly, others by NumPy on the monic
     factor.  A Gaussian-rational root of a primitive factor has a denominator
     dividing its leading coefficient a_n, so each float root r gets one
-    candidate, round(a_n r) / a_n with a_n r formed exactly.  It is kept if it
-    is closer to r than half the distance to the nearest other float root
-    and the factor vanishes there exactly.  Monic coefficients beyond the
-    float range are refused with ``ValueError``.
+    candidate w / a_n, w = round(a_n r) after r is refined by Newton's method
+    on the exact factor to an absolute precision far below 1 / |a_n|.  It is
+    kept if it is closer to r than half the distance to the nearest other
+    float root and the factor vanishes there exactly.  Monic coefficients
+    beyond the float range are refused with ``ValueError``.
     """
-    deg, lead, a_n = len(factor) - 1, factor[-1], ComplexRational.of(*factor[-1])
+    deg = len(factor) - 1
+    lead = factor[-1]
+    a_n = ComplexRational.of(*lead)
     if deg == 1:
         return [(-ComplexRational.of(*factor[0]) / a_n, True)]
     import numpy as np
@@ -179,10 +237,10 @@ def _squarefree_roots(factor):
     out = []
     for i, r in enumerate(numeric):
         radius = min(abs(r - s) for j, s in enumerate(numeric) if j != i) / 2
-        w = tuple(round(x) for x in _gmul(lead, (Fraction(r.real), Fraction(r.imag))))
+        w = _candidate(factor, r, radius)
         cand = ComplexRational.of(*w) / a_n
         # the factor vanishes at w / a_n iff a_n z - w divides it
-        if abs(cand.as_complex() - r) < radius and not _pdivide(factor, ((-w[0], -w[1]), lead)):
+        if abs(cand.as_complex() - r) < radius and not _prem(factor, ((-w[0], -w[1]), lead)):
             out.append((cand, True))
         else:
             out.append((complex(r), False))

@@ -152,6 +152,18 @@ def test_root_with_a_large_denominator_is_exact():
     }
 
 
+@pytest.mark.parametrize("other", [
+    [CR.of(1), CR.of(Fraction(1, 10**20)), CR.of(1)],  # z^2 + 10^-20 z + 1
+    [CR.of(Fraction(-1, 10**20)), CR.of(1)],  # z - 10^-20
+])
+def test_root_stays_exact_beside_a_large_leading_coefficient(other):
+    # the primitive factor (3z - 1) * 10^20 * other has a_n = 3 * 10^20, so the
+    # float error of the root 1/3 alone moves round(a_n r) by thousands
+    p = _mul([CR.of(Fraction(-1, 3)), CR.of(1)], other)
+    roots = {r.value: r for r in bop.polynomial_roots(tuple(p))}
+    assert roots[CR.of(Fraction(1, 3))].exact
+
+
 gaussian_rationals = st.builds(lambda a, b, d: CR.of(Fraction(a, d), Fraction(b, d)),
                                st.integers(-6, 6), st.integers(-6, 6), st.integers(1, 4))
 # dense factors of degree 1-2, and sparse z^k + c, whose remainder sequences skip degrees
