@@ -88,9 +88,9 @@ def _primitive(p):
 
 
 def _gaussian(poly):
-    """The primitive Z[i] polynomial of an exact one: denominators cleared once."""
+    """The Z[i] polynomial of an exact one: denominators cleared once."""
     den = math.lcm(*(x.denominator for c in poly for x in (c.re, c.im)))
-    return _primitive(tuple((int(c.re * den), int(c.im * den)) for c in poly))
+    return tuple((int(c.re * den), int(c.im * den)) for c in poly)
 
 
 def _prem(p, q):
@@ -265,17 +265,34 @@ def _cluster_numeric(roots):
     return out
 
 
+#: Most bits, and most degree^2 x bits, of a polynomial ``polynomial_roots``
+#: will factor, with bits the sum of 1 + the bit length of each coefficient
+#: over the Gaussian integers: the gcds of the square-free step cost about
+#: degree^2 x bits, and the Gaussian gcd of two coefficients about bits^2.
+_BITS_BUDGET = 50_000
+_DEGREE_BITS_BUDGET = 2_000_000
+
+
 def polynomial_roots(poly) -> tuple:
     """Roots with multiplicities of an exact polynomial, leading coefficient nonzero.
 
     Square-free factors over the Gaussian integers first; each exact root is
     found by the a_n rule of ``_squarefree_roots``, and the numeric roots
-    left are clustered at tolerance 1e-9 and rationalized for storage.
+    left are clustered at tolerance 1e-9 and rationalized for storage.  A
+    polynomial beyond ``_BITS_BUDGET`` or ``_DEGREE_BITS_BUDGET`` is refused
+    with ``ValueError`` before any gcd is taken.
     """
     if len(poly) < 2:
         return ()
+    p = _gaussian(poly)
+    deg = len(p) - 1
+    bits = sum(max(abs(a).bit_length(), abs(b).bit_length()) + 1 for a, b in p)
+    if bits > _BITS_BUDGET or deg * deg * bits > _DEGREE_BITS_BUDGET:
+        raise ValueError(f"the degree-{deg} indicial polynomial has {bits} coefficient bits "
+                         f"(degree^2 x bits = {deg * deg * bits}), beyond the budget of "
+                         f"{_BITS_BUDGET} bits and {_DEGREE_BITS_BUDGET} for degree^2 x bits")
     exact_roots, numeric_roots = [], []
-    for factor, mult in _squarefree(_gaussian(poly)):
+    for factor, mult in _squarefree(_primitive(p)):
         for value, is_exact in _squarefree_roots(factor):
             if is_exact:
                 exact_roots.append(Root(value, mult, True))

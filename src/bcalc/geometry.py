@@ -16,10 +16,10 @@ it from inspection, user-defined maps default to False.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import BMapError, LatticeError
+from .records import Record, _set
 
 
 def _face(names) -> frozenset:
@@ -28,8 +28,7 @@ def _face(names) -> frozenset:
     return frozenset(str(n) for n in names)
 
 
-@dataclass(frozen=True)
-class FaceLattice:
+class FaceLattice(Record):
     """Named boundary hypersurfaces plus the poset of their intersections.
 
     ``faces`` contains the empty set (the whole space) and is closed under
@@ -38,34 +37,35 @@ class FaceLattice:
     recorded codimension.
     """
 
-    dimension: int
-    bhs_names: tuple
-    faces: frozenset
+    __slots__ = ("dimension", "bhs_names", "faces")
 
-    def __post_init__(self):
-        if type(self.dimension) is not int:
-            raise LatticeError(f"dimension must be an integer, got {self.dimension!r}")
-        for name in self.bhs_names:  # --names, --center and --face split on ","
+    def __init__(self, dimension: int, bhs_names: tuple, faces: frozenset):
+        if type(dimension) is not int:
+            raise LatticeError(f"dimension must be an integer, got {dimension!r}")
+        for name in bhs_names:  # --names, --center and --face split on ","
             if not (isinstance(name, str) and name and "," not in name):
                 raise LatticeError(f"bhs name {name!r} must be a non-empty string without ','")
-        names = set(self.bhs_names)
-        if len(names) != len(self.bhs_names):
+        names = set(bhs_names)
+        if len(names) != len(bhs_names):
             raise LatticeError("duplicate boundary hypersurface names")
-        if frozenset() not in self.faces:
+        if frozenset() not in faces:
             raise LatticeError("the empty face (whole space) must be present")
-        for name in self.bhs_names:
-            if frozenset({name}) not in self.faces:
+        for name in bhs_names:
+            if frozenset({name}) not in faces:
                 raise LatticeError(f"singleton {[name]} must be a face")
-        for face in self.faces:
+        for face in faces:
             if not face <= names:
                 raise LatticeError(f"face {sorted(face)} uses unknown bhs names")
-            if len(face) > self.dimension:
+            if len(face) > dimension:
                 raise LatticeError(
-                    f"face {sorted(face)} has codimension {len(face)} > dimension {self.dimension}"
+                    f"face {sorted(face)} has codimension {len(face)} > dimension {dimension}"
                 )
             for name in face:
-                if face - {name} not in self.faces:
+                if face - {name} not in faces:
                     raise LatticeError("face set is not closed under subsets")
+        _set(self, "dimension", dimension)
+        _set(self, "bhs_names", bhs_names)
+        _set(self, "faces", faces)
 
     def is_face(self, names) -> bool:
         return _face(names) in self.faces
@@ -130,8 +130,7 @@ def halfline(name: str = "H") -> FaceLattice:
     return model_quadrant(1, 1, (name,))
 
 
-@dataclass(frozen=True)
-class BMapDescriptor:
+class BMapDescriptor(Record):
     """A b-map W -> Z as its exponent matrix.
 
     Rows follow ``source.bhs_names``, columns ``target.bhs_names``; entries
@@ -139,22 +138,24 @@ class BMapDescriptor:
     not represented; all transport bookkeeping consumes only the exponents.
     """
 
-    source: FaceLattice
-    target: FaceLattice
-    exponents: tuple  # tuple of rows, each a tuple of ints
-    fibration_on_faces: bool = False
+    __slots__ = ("source", "target", "exponents", "fibration_on_faces")
 
-    def __post_init__(self):
-        if type(self.fibration_on_faces) is not bool:
-            raise BMapError(f"fibration_on_faces must be a bool, got {self.fibration_on_faces!r}")
-        if len(self.exponents) != len(self.source.bhs_names):
+    def __init__(self, source: FaceLattice, target: FaceLattice, exponents: tuple,
+                 fibration_on_faces: bool = False):
+        if type(fibration_on_faces) is not bool:
+            raise BMapError(f"fibration_on_faces must be a bool, got {fibration_on_faces!r}")
+        if len(exponents) != len(source.bhs_names):
             raise BMapError("exponent matrix has wrong number of rows")
-        for row in self.exponents:
-            if len(row) != len(self.target.bhs_names):
+        for row in exponents:  # a tuple of rows, each a tuple of ints
+            if len(row) != len(target.bhs_names):
                 raise BMapError("exponent matrix has wrong number of columns")
             for v in row:
                 if type(v) is not int or v < 0:
                     raise BMapError(f"exponents must be non-negative integers, got {v!r}")
+        _set(self, "source", source)
+        _set(self, "target", target)
+        _set(self, "exponents", exponents)
+        _set(self, "fibration_on_faces", fibration_on_faces)
 
     @classmethod
     def from_table(cls, source, target, table, fibration_on_faces=False):
@@ -195,15 +196,10 @@ class BMapDescriptor:
         )
 
 
-@dataclass(frozen=True)
-class BlowupRecord:
+class BlowupRecord(Record):
     """One boundary-face blow-up: base lattice, center, result, blow-down map."""
 
-    base: FaceLattice
-    center: frozenset
-    result: FaceLattice
-    front_face_name: str
-    blowdown: BMapDescriptor
+    __slots__ = ("base", "center", "result", "front_face_name", "blowdown")
 
 
 def blow_up_face(base: FaceLattice, center, name: str) -> BlowupRecord:
@@ -294,12 +290,11 @@ def induced_face_map(f: BMapDescriptor, face) -> frozenset:
     return image
 
 
-@dataclass(frozen=True)
-class BFibrationReport:
-    codim_ok: bool
-    violating_faces: tuple  # source bhs whose image has codimension > 1
-    images: tuple  # ((bhs name, sorted image face), ...)
-    fibration_on_faces: bool
+class BFibrationReport(Record):
+    """``violating_faces``: the source bhs whose image has codimension > 1;
+    ``images``: ((bhs name, sorted image face), ...)."""
+
+    __slots__ = ("codim_ok", "violating_faces", "images", "fibration_on_faces")
 
     @property
     def verdict(self) -> bool:

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 
 from .errors import SchemaError
 from .rationals import ComplexRational, as_fraction
+from .records import Record, _set
 
 # The exponent z in x^z log^p x.
 Exponent = ComplexRational
@@ -35,16 +35,16 @@ def residue_class(z: Exponent):
     return (z.im, z.re - math.floor(z.re))
 
 
-@dataclass(frozen=True)
-class IndexEntry:
+class IndexEntry(Record):
     """A single pair (z, p): the term x^z log^p x."""
 
-    z: Exponent
-    p: int
+    __slots__ = ("z", "p")
 
-    def __post_init__(self):
-        if type(self.p) is not int or self.p < 0:
-            raise ValueError(f"log power must be a non-negative integer, got {self.p!r}")
+    def __init__(self, z: Exponent, p: int):
+        if type(p) is not int or p < 0:
+            raise ValueError(f"log power must be a non-negative integer, got {p!r}")
+        _set(self, "z", z)
+        _set(self, "p", p)
 
     def sort_key(self):
         return (self.z.re, self.z.im, self.p)
@@ -76,8 +76,7 @@ def _reduce(entries) -> frozenset:
     return frozenset(kept)
 
 
-@dataclass(frozen=True)
-class IndexSet:
+class IndexSet(Record):
     """A completed, finitely generated index set.
 
     ``generators`` is the canonical reduced generator set; the members of the
@@ -85,7 +84,10 @@ class IndexSet:
     ``k`` a non-negative integer and ``q <= p0``.
     """
 
-    generators: frozenset = field(default_factory=frozenset)
+    __slots__ = ("generators",)
+
+    def __init__(self, generators: frozenset = frozenset()):
+        _set(self, "generators", generators)
 
     @classmethod
     def from_entries(cls, entries) -> "IndexSet":
@@ -235,11 +237,10 @@ EMPTY = IndexSet()
 SMOOTH = IndexSet.from_entries([(0, 0)])
 
 
-@dataclass(frozen=True)
-class IndexFamily:
+class IndexFamily(Record):
     """Assignment of one index set to each boundary hypersurface name."""
 
-    sets: tuple  # tuple of (bhs name, IndexSet), sorted by name
+    __slots__ = ("sets",)  # a tuple of (bhs name, IndexSet), sorted by name
 
     @classmethod
     def of(cls, mapping, lattice=None) -> "IndexFamily":

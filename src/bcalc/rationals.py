@@ -15,8 +15,9 @@ inexact.  This module holds the only JSON codec for a scalar
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+
+from .records import Record, _set
 
 _FLOAT_RATIONALIZE_DEN = 10**12
 # Python's own int-string limit; Fraction would expand a larger decimal
@@ -48,10 +49,12 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-@dataclass(frozen=True)
-class ComplexRational:
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+class ComplexRational(Record):
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: Fraction = Fraction(0), im: Fraction = Fraction(0)):
+        _set(self, "re", re)
+        _set(self, "im", im)
 
     @classmethod
     def of(cls, value, im=None) -> "ComplexRational":

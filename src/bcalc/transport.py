@@ -17,11 +17,11 @@ this requires the map to be a b-fibration and that refusal is an error.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import BMapError, NotBFibration
 from .geometry import BMapDescriptor, check_b_fibration
 from .indexsets import EMPTY, SMOOTH, IndexFamily, IndexSet
+from .records import Record
 
 
 def pull_back_family(f: BMapDescriptor, family: IndexFamily) -> IndexFamily:
@@ -59,18 +59,15 @@ def pull_back_family(f: BMapDescriptor, family: IndexFamily) -> IndexFamily:
     return IndexFamily.of(out, f.source)
 
 
-@dataclass(frozen=True)
-class TransportReport:
+class TransportReport(Record):
     """Result of a push-forward plus its integrability audit.
 
+    ``result`` is an IndexSet (half-line target) or an IndexFamily;
     ``face_contributions`` maps each target hypersurface name to the table
     face -> contributed index set.
     """
 
-    result: object  # IndexSet (half-line target) or IndexFamily
-    integrability_ok: bool
-    violating_bhs: tuple
-    face_contributions: dict
+    __slots__ = ("result", "integrability_ok", "violating_bhs", "face_contributions")
 
     def to_jsonable(self) -> dict:
         tables = {

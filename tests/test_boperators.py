@@ -209,11 +209,11 @@ def test_squarefree_and_gcd_agree_with_sympy(bases, terms, lead):
     for f, m in factors:
         for _ in range(m):
             p = _mul(p, f)
-    got = {(_monic(f), m) for f, m in bop._squarefree(bop._gaussian(p))}
+    got = {(_monic(f), m) for f, m in bop._squarefree(bop._primitive(bop._gaussian(p)))}
     _, want = _to_sympy(p).sqf_list()
     assert got == {(_from_sympy(f), m) for f, m in want}
     q = _mul(factors[0][0], bases[-1])
-    gcd = bop._pgcd(bop._gaussian(p), bop._gaussian(q))
+    gcd = bop._pgcd(bop._primitive(bop._gaussian(p)), bop._primitive(bop._gaussian(q)))
     assert _monic(gcd) == _from_sympy(sympy.gcd(_to_sympy(p), _to_sympy(q)))
 
 
@@ -637,3 +637,13 @@ def test_hs_vanishing_restriction_has_bounded_norm():
     )
     assert abs(report.slope) < 1e-4
     assert report.reference == pytest.approx(0.0, abs=1e-12)
+
+
+def test_polynomial_roots_admits_a_quadratic_with_4000_digit_coefficients():
+    # 39,873 bits, inside _BITS_BUDGET, and degree^2 x bits far inside
+    # _DEGREE_BITS_BUDGET; test_cli's
+    # test_op_actions_refuse_an_indicial_polynomial_beyond_its_budget has the refusals
+    k = 10 ** 4000 + 1
+    roots = bop.polynomial_roots((CR.of(2 * k), CR.of(-7 * k), CR.of(3 * k)))
+    assert [(r.value, r.multiplicity, r.exact) for r in roots] == [
+        (CR.of(Fraction(1, 3)), 1, True), (CR.of(2), 1, True)]

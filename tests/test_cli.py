@@ -261,6 +261,25 @@ def test_op_specb_refuses_a_coefficient_beyond_float_range(tmp_path, capsys):
         assert captured.out == "" and len(captured.err.strip().splitlines()) == 1, c
 
 
+def test_op_actions_refuse_an_indicial_polynomial_beyond_its_budget(tmp_path, capsys):
+    # degree 300 with one-digit coefficients (beyond degree^2 x bits), and
+    # degree 12 with 4000-digit ones (beyond bits): the exact square-free
+    # step would take seconds on each, so both are refused before it
+    ops = {"deg300.json": [[str(1 + j % 9)] for j in range(301)],
+           "digits4000.json": [[str(10 ** 3999 + 7 * j + 1)] for j in range(13)]}
+    for name, coeffs in ops.items():
+        path = write(tmp_path, name, {"coeffs": coeffs})
+        for argv in (["op", "specb", path], ["op", "split", path, "--gamma", "0"],
+                     ["op", "inverse", path, "--gamma", "0"],
+                     ["op", "parametrix", path, "--gamma", "0"]):
+            start = time.perf_counter()
+            assert main(argv) == 1, argv
+            assert time.perf_counter() - start < 1.0, argv
+            captured = capsys.readouterr()
+            assert captured.out == "" and len(captured.err.strip().splitlines()) == 1, argv
+            assert "budget" in captured.err, argv
+
+
 def test_op_actions_keep_a_root_beyond_float_range_exact(tmp_path, capsys):
     # z + 10^400: the weight is compared with the exact root, not its float
     path = write(tmp_path, "op.json", {"coeffs": [["1e400"], ["1"]]})
@@ -623,27 +642,30 @@ else:  # the benchmark's setup snippet
     geometry.x2b(); geometry.triple_b_space()
     code = 0
 print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "bcalc"),
-                  "numpy" in sys.modules]))
+                  [m for m in ("numpy", "dataclasses", "inspect") if m in sys.modules]]))
 """
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
 
-    def loads(*argv):
+    def loads(*argv, allowed=()):
         proc = subprocess.run([sys.executable, "-c", child, json.dumps(argv)],
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
-        code, modules, numpy = json.loads(proc.stdout)
-        assert code == 0 and not numpy, (argv, code, numpy)
+        code, modules, heavy = json.loads(proc.stdout)
+        assert code == 0 and set(heavy) <= set(allowed), (argv, code, heavy)
         return {m.removeprefix("bcalc.") for m in modules}
 
-    core = {"bcalc", "cli", "errors", "indexsets", "rationals", "serialize"}
+    core = {"bcalc", "cli", "errors", "indexsets", "rationals", "records", "serialize"}
+    # the exact layers are records, not dataclasses: no dataclasses, no inspect
     assert loads() == core | {"geometry"}
     assert loads("indexset", "extunion", smooth, smooth) == core
     assert loads("space", "triple") == core | {"geometry"}
     assert loads("map", "compose", pi2, proj) == core | {"geometry"}
     assert loads("transport", "pushforward", proj, fam) == core | {"geometry", "transport"}
-    # a first-order operator's root is exact, so no root finder runs
-    assert loads("op", "compose", desc, desc) == core | {"boperators"}
-    assert loads("op", "specb", op) == core | {"boperators"}
+    # a first-order operator's root is exact, so no root finder runs;
+    # boperators keeps its dataclasses
+    dataclasses = ("dataclasses", "inspect")
+    assert loads("op", "compose", desc, desc, allowed=dataclasses) == core | {"boperators"}
+    assert loads("op", "specb", op, allowed=dataclasses) == core | {"boperators"}
 
 
 def test_numeric_failure_is_exit_3(capsys):
