@@ -25,9 +25,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Optional
 
 from .errors import (
@@ -38,6 +36,7 @@ from .errors import (
 )
 from .indexsets import EMPTY, IndexEntry, IndexSet
 from .rationals import ONE, ZERO, ComplexRational, as_fraction
+from .records import Record, _set
 
 if TYPE_CHECKING:
     from .numeric import QuadratureSpec
@@ -165,11 +164,8 @@ def _squarefree(p):
 _CLUSTER_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Root:
-    value: ComplexRational
-    multiplicity: int
-    exact: bool
+class Root(Record):
+    __slots__ = ("value", "multiplicity", "exact")
 
 
 def _candidate(factor, r, radius):
@@ -307,20 +303,21 @@ def polynomial_roots(poly) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BDiffOp:
+class BDiffOp(Record):
     """sum_j a_j(x) (x d/dx)^j with truncated power-series coefficients."""
 
-    coeffs: tuple  # coeffs[j] = series of a_j, ascending, ComplexRational
-    trunc: int  # recorded truncation degree of the series
+    # coeffs[j] = series of a_j, ascending, ComplexRational; trunc = its truncation degree
+    __slots__ = ("coeffs", "trunc")
 
-    def __post_init__(self):
-        if not self.coeffs:
+    def __init__(self, coeffs: tuple, trunc: int):
+        if not coeffs:
             raise ValueError("an operator needs at least one coefficient")
-        if not any(self.coeffs[-1]):
+        if not any(coeffs[-1]):
             raise ValueError("leading coefficient series is identically zero")
-        if type(self.trunc) is not int or self.trunc < 0:
-            raise ValueError(f"truncation degree must be a non-negative integer, got {self.trunc!r}")
+        if type(trunc) is not int or trunc < 0:
+            raise ValueError(f"truncation degree must be a non-negative integer, got {trunc!r}")
+        _set(self, "coeffs", coeffs)
+        _set(self, "trunc", trunc)
 
     @classmethod
     def from_lists(cls, coeff_lists, trunc: Optional[int] = None) -> "BDiffOp":
@@ -357,17 +354,14 @@ class BDiffOp:
         return cls.from_lists(series, data.get("trunc"))
 
 
-@dataclass(frozen=True)
-class IndicialData:
+class IndicialData(Record):
     """Indicial polynomial sum a_j(0) z^j, its roots, and the boundary spectrum.
 
     The spectrum is the raw entry list {(z, l) : 0 <= l < multiplicity of z};
     it is not completed (it is not an index set).
     """
 
-    polynomial: tuple
-    roots: tuple  # of Root
-    spec_b: tuple  # of IndexEntry
+    __slots__ = ("polynomial", "roots", "spec_b")  # roots of Root, spec_b of IndexEntry
 
 
 def indicial(op: BDiffOp) -> IndicialData:
@@ -422,35 +416,26 @@ def split_spec(ind: IndicialData, gamma) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KernelTerm:
+class KernelTerm(Record):
     """One term of a model kernel, in the ratio variable s = x'/x.
 
     side "rb": coeff * s^z * log^p(1/s) on 0 < s < 1;
     side "lb": coeff * (1/s)^z * log^p(s) on s > 1 (mirrored in 1/s).
     """
 
-    z: ComplexRational
-    p: int
-    side: str
-    coeff: ComplexRational
+    # the cache _floats: evaluate's float forms of coeff and of the power of s
+    # (z on the rb side, -z on the lb side), converted once per term, not per call
+    __slots__ = ("z", "p", "side", "coeff", "_floats")
 
-    def __post_init__(self):
-        if type(self.p) is not int or self.p < 0:
-            raise ValueError(f"log power must be a non-negative integer, got {self.p!r}")
-        if self.side not in ("lb", "rb"):
-            raise ValueError(f"kernel term side must be 'lb' or 'rb', got {self.side!r}")
-
-    # evaluate's float forms, converted once per term rather than per call
-    @cached_property
-    def _coeff(self) -> complex:
-        return self.coeff.as_complex()
-
-    @cached_property
-    def _power(self) -> complex:
-        """The power of s: z on the rb side, -z on the lb side."""
-        zc = self.z.as_complex()
-        return zc if self.side == "rb" else -zc
+    def __init__(self, z: ComplexRational, p: int, side: str, coeff: ComplexRational):
+        if type(p) is not int or p < 0:
+            raise ValueError(f"log power must be a non-negative integer, got {p!r}")
+        if side not in ("lb", "rb"):
+            raise ValueError(f"kernel term side must be 'lb' or 'rb', got {side!r}")
+        _set(self, "z", z)
+        _set(self, "p", p)
+        _set(self, "side", side)
+        _set(self, "coeff", coeff)
 
     def evaluate(self, s: float) -> complex:
         if self.side == "rb":
@@ -461,14 +446,19 @@ class KernelTerm:
             if s <= 1.0:
                 return 0.0
             base = math.log(s)
-        return self._coeff * s ** self._power * base ** self.p
+        try:
+            coeff, power = self._floats
+        except AttributeError:
+            zc = self.z.as_complex()
+            coeff, power = self.coeff.as_complex(), zc if self.side == "rb" else -zc
+            _set(self, "_floats", (coeff, power))
+        return coeff * s ** power * base ** self.p
 
 
-@dataclass(frozen=True)
-class ModelKernel:
+class ModelKernel(Record):
     """Finite-term kernel acting by (Qv)(x) = int k(x'/x) v(x') dx'/x'."""
 
-    terms: tuple
+    __slots__ = ("terms",)
 
     @property
     def support(self) -> tuple:
@@ -556,9 +546,8 @@ def model_inverse(ind: IndicialData, gamma) -> ModelKernel:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ApplyCheckReport:
-    max_residual: float
+class ApplyCheckReport(Record):
+    __slots__ = ("max_residual",)
 
     def to_jsonable(self):
         return {"max_residual": self.max_residual}
@@ -625,8 +614,7 @@ def apply_check(op: BDiffOp, kernel: ModelKernel, v: Callable[[float], float], s
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FullCalcDescriptor:
+class FullCalcDescriptor(Record):
     """(order, E_lb, E_rb): the index data of a full-calculus operator.
 
     A full-calculus kernel decomposes into a near-diagonal (small-calculus)
@@ -635,14 +623,15 @@ class FullCalcDescriptor:
     and the two boundary sets, so the three-part split stays implicit.
     """
 
-    order: float
-    E_lb: IndexSet
-    E_rb: IndexSet
+    __slots__ = ("order", "E_lb", "E_rb")
 
-    def __post_init__(self):  # a finite order, or -inf for a residual (smoothing) part
-        if type(self.order) not in (int, float) or not -math.inf <= self.order < math.inf:
-            raise ValueError(f"order must be a finite number or -inf, got {self.order!r}")
-        object.__setattr__(self, "order", float(self.order))
+    def __init__(self, order: float, E_lb: IndexSet, E_rb: IndexSet):
+        # a finite order, or -inf for a residual (smoothing) part
+        if type(order) not in (int, float) or not -math.inf <= order < math.inf:
+            raise ValueError(f"order must be a finite number or -inf, got {order!r}")
+        _set(self, "order", float(order))
+        _set(self, "E_lb", E_lb)
+        _set(self, "E_rb", E_rb)
 
     def to_jsonable(self) -> dict:
         order = "-inf" if self.order == -math.inf else self.order
@@ -697,11 +686,8 @@ def action_index(p: FullCalcDescriptor, f: IndexSet) -> IndexSet:
     return p.E_lb.extended_union(f)
 
 
-@dataclass(frozen=True)
-class ParametrixReport:
-    parametrix: FullCalcDescriptor
-    remainder: FullCalcDescriptor
-    steps: tuple
+class ParametrixReport(Record):
+    __slots__ = ("parametrix", "remainder", "steps")
 
     def to_jsonable(self):
         return {
@@ -753,8 +739,7 @@ def parametrix_indices(op: BDiffOp, gamma, steps: int) -> ParametrixReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HsReport:
+class HsReport(Record):
     """Hilbert-Schmidt norm growth of a localized smoothing kernel.
 
     The truncated squared norm over x in [eps, C] grows like
@@ -762,10 +747,7 @@ class HsReport:
     front-face restriction, so slope 0 iff the kernel vanishes there.
     """
 
-    slope: float
-    reference: float
-    eps: tuple
-    norms: tuple
+    __slots__ = ("slope", "reference", "eps", "norms")
 
     def to_jsonable(self):
         return {"slope": self.slope, "reference": self.reference,

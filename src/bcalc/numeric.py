@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -24,20 +23,21 @@ from .errors import (
 )
 from .indexsets import IndexSet
 from .rationals import as_fraction
+from .records import Record, _set
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
+class QuadratureSpec(Record):
     """Adaptive-subdivision quadrature contract (backed by scipy's QUADPACK)."""
 
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    max_depth: int = 200
+    __slots__ = ("abs_tol", "rel_tol", "max_depth")
 
-    def __post_init__(self):
-        if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
+    def __init__(self, abs_tol: float = 1e-10, rel_tol: float = 1e-10, max_depth: int = 200):
+        if not (0 < abs_tol < math.inf and 0 < rel_tol < math.inf):
             raise ValueError(f"tolerances must be finite and positive, got "
-                             f"abs_tol={self.abs_tol}, rel_tol={self.rel_tol}")
+                             f"abs_tol={abs_tol}, rel_tol={rel_tol}")
+        _set(self, "abs_tol", abs_tol)
+        _set(self, "rel_tol", rel_tol)
+        _set(self, "max_depth", max_depth)
 
 
 DEFAULT_QUAD = QuadratureSpec()
@@ -150,22 +150,24 @@ def plateau_cutoff(lo: float, hi: float) -> Callable[[float], float]:
     return f
 
 
-@dataclass(frozen=True)
-class SampledFunction2D:
+class SampledFunction2D(Record):
     """Pointwise-evaluable function on (0, C]^2 with a recorded support bound."""
 
-    evaluator: Callable[[float, float], float]
-    support: float
+    __slots__ = ("evaluator", "support")
+
+    def __init__(self, evaluator: Callable[[float, float], float], support: float):
+        _set(self, "evaluator", evaluator)
+        _set(self, "support", support)
 
     def __call__(self, x: float, y: float) -> float:
         return self.evaluator(x, y)
 
 
-@dataclass(frozen=True)
-class Sampled1D:
-    x: np.ndarray
+class Sampled1D(NamedTuple):
+    """Fiber integrals on a grid, NaN at the indices in ``failed``."""
+
     values: np.ndarray
-    failed: tuple = ()
+    failed: tuple
 
 
 def numeric_pushforward(u: SampledFunction2D, spec: QuadratureSpec, x_grid) -> Sampled1D:
@@ -183,7 +185,7 @@ def numeric_pushforward(u: SampledFunction2D, spec: QuadratureSpec, x_grid) -> S
         except (IntegrabilityError, QuadratureError):
             values[i] = np.nan
             failed.append(i)
-    return Sampled1D(x_grid, values, tuple(failed))
+    return Sampled1D(values, tuple(failed))
 
 
 def pushforward_chart_split(u: SampledFunction2D, cutoff: Callable[[float], float],
@@ -215,17 +217,14 @@ def pushforward_chart_split(u: SampledFunction2D, cutoff: Callable[[float], floa
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PhgExpansion:
+class PhgExpansion(Record):
     """Fitted finite expansion sum coeff * x^z * log^p(1/x).
 
     Coefficients are stored against the log(1/x) basis; multiply by (-1)^p
     for the coefficient of x^z log^p x.
     """
 
-    terms: tuple  # ((z, p, coeff), ...) sorted by (z, p)
-    fit_residual: float
-    decay_estimate: Optional[float]
+    __slots__ = ("terms", "fit_residual")  # terms: ((z, p, coeff), ...) sorted by (z, p)
 
     def coeff(self, z, p: int) -> float:
         for tz, tp, tc in self.terms:
@@ -301,7 +300,6 @@ def fit_expansion(x, values, candidate: IndexSet, cutoff) -> PhgExpansion:
     resid = values - a @ coeffs
     fit_residual = float(np.max(np.abs(resid)))
 
-    decay = None
     scale = 1.0 + float(np.max(np.abs(values)))
     if fit_residual > _DECAY_FLOOR * scale:
         order = np.argsort(x)
@@ -310,17 +308,16 @@ def fit_expansion(x, values, candidate: IndexSet, cutoff) -> PhgExpansion:
         usable = small[np.abs(resid[small]) > floor]
         if len(usable) >= 5:
             slope, _ = np.polyfit(np.log(x[usable]), np.log(np.abs(resid[usable])), 1)
-            decay = float(slope)
             required = _next_exponent_after(candidate, cutoff)
-            if decay < required - 0.6:
+            if slope < required - 0.6:
                 raise FitRejection(
-                    f"residual decays like x^{decay:.2f} but the candidate truncation "
+                    f"residual decays like x^{slope:.2f} but the candidate truncation "
                     f"requires at least x^{required:.2f}; "
                     f"max residual {fit_residual:.3g} on grid of {len(x)} points"
                 )
 
     terms = tuple((z, p, float(c)) for (z, p), c in zip(merged, coeffs))
-    return PhgExpansion(terms, fit_residual, decay)
+    return PhgExpansion(terms, fit_residual)
 
 
 _COEFF_TOL = 1e-6  # fitted coefficients above this count as present
@@ -373,24 +370,19 @@ def solve_model_ode(c, v: Callable[[float], float], x_grid,
     return out * x_grid ** (-cf)
 
 
-@dataclass(frozen=True)
-class KernelWindow:
+class KernelWindow(Record):
     """A plain callable kernel with explicit support, for convolution tests."""
 
-    fn: Callable[[float], float]
-    support: tuple
+    __slots__ = ("fn", "support")
 
     def evaluate(self, s: float) -> float:
         lo, hi = self.support
         return self.fn(s) if lo < s < hi else 0.0
 
 
-@dataclass(frozen=True)
-class ConvolutionResult:
-    s: np.ndarray
+class ConvolutionResult(NamedTuple):
     values: np.ndarray
-    expansion: Optional[PhgExpansion] = None
-    prediction_report: Optional[dict] = None
+    prediction_report: Optional[dict]
 
 
 def convolve_model_kernels(k1, k2, s_grid, spec: QuadratureSpec = DEFAULT_QUAD,
@@ -428,13 +420,12 @@ def convolve_model_kernels(k1, k2, s_grid, spec: QuadratureSpec = DEFAULT_QUAD,
             for a, b in zip(ends, ends[1:])
         )
 
-    expansion = None
     report = None
     if predicted is not None:
         cutoff = fit_cutoff if fit_cutoff is not None else predicted.inf_re() + 3
         expansion = fit_expansion(s_grid, values, predicted, cutoff)
         report = compare_with_prediction(expansion, predicted, cutoff)
-    return ConvolutionResult(s_grid, values, expansion, report)
+    return ConvolutionResult(values, report)
 
 
 # ---------------------------------------------------------------------------

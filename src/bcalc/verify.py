@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +20,7 @@ from . import transport
 from .errors import CompositionUndefined, IntegrabilityError
 from .indexsets import EMPTY, SMOOTH, IndexEntry, IndexFamily, IndexSet
 from .rationals import ComplexRational
+from .records import Record
 
 LOG_SET = SMOOTH.extended_union(SMOOTH)  # integer exponents with log powers 0, 1
 
@@ -285,12 +285,8 @@ def case_chart_split():
     return "near-diagonal + far split reproduces the fiber integral for two cutoffs"
 
 
-@dataclass(frozen=True)
-class CaseResult:
-    cid: int
-    name: str
-    passed: bool
-    detail: str
+class CaseResult(Record):
+    __slots__ = ("cid", "name", "passed", "detail")
 
     def line(self) -> str:
         mark = "PASS" if self.passed else "FAIL"

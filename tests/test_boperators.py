@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -478,7 +477,7 @@ def test_apply_check_flags_wrong_side():
     op = op_from([1], [1])
     kernel = bop.model_inverse(bop.indicial(op), 0)
     swapped = bop.ModelKernel(tuple(
-        dataclasses.replace(t, side="lb" if t.side == "rb" else "rb")
+        bop.KernelTerm(t.z, t.p, "lb" if t.side == "rb" else "rb", t.coeff)
         for t in kernel.terms
     ))
     v = num.smooth_bump(2.0, 1.0)
