@@ -4,7 +4,11 @@ An operator sum_j a_j(x) (x d/dx)^j is stored with truncated power series
 coefficients over exact complex rationals.  Freezing the coefficients at
 x = 0 gives the indicial polynomial; its roots with multiplicities form the
 boundary spectrum, whose entries (z, l), l < multiplicity, govern which
-x^z log^l x terms can appear in solutions.
+x^z log^l x terms can appear in solutions.  A root is exact when it is a
+Gaussian rational, verified on the exact polynomial; otherwise it is the
+rational nearest (denominator at most 10^12) to the root refined by exact
+Newton steps to 2^-128.  No float is rounded into a stored root:
+``ComplexRational.from_complex`` is called nowhere.
 
 A weight parameter splits the spectrum into left/right boundary index sets
 and selects one model inverse, realized here by residue (Mellin) inversion:
@@ -168,16 +172,16 @@ class Root(Record):
     __slots__ = ("value", "multiplicity", "exact")
 
 
-def _candidate(factor, r, radius):
-    """round(a_n z) for z the root of a primitive factor near the float r.
+def _refine(factor, r, radius):
+    """(z, P): the root of a primitive factor near the float r as z / 2^P.
 
     z is r refined by Newton's method on the exact factor, in Gaussian
-    integers scaled by 2^P, to absolute precision 2^-P with P at least eight
-    bits beyond the size of a_n.  It stops early at a step longer than
-    ``radius``, which leaves r's root.
+    integers scaled by 2^P, to absolute precision 2^-P with P at least 128
+    and at least eight bits beyond the size of a_n.  It stops early at a step
+    longer than ``radius``, which leaves r's root.
     """
     lead = factor[-1]
-    target = max(abs(lead[0]), abs(lead[1])).bit_length() + 8
+    target = max(128, max(abs(lead[0]), abs(lead[1])).bit_length() + 8)
     bits = 64  # beyond the float's own precision; doubled while below target
     z = (round(Fraction(r.real) * (1 << bits)), round(Fraction(r.imag) * (1 << bits)))
     for _ in range(target.bit_length() + 8):
@@ -199,20 +203,20 @@ def _candidate(factor, r, radius):
             bits += shift
         elif step == (0, 0):
             break
-    return _gquo(_gmul(lead, z), (1 << bits, 0))
+    return z, bits
 
 
 def _squarefree_roots(factor):
     """Roots of a primitive square-free factor, each exact or marked inexact.
 
     A degree-one factor is solved exactly, others by NumPy on the monic
-    factor.  A Gaussian-rational root of a primitive factor has a denominator
-    dividing its leading coefficient a_n, so each float root r gets one
-    candidate w / a_n, w = round(a_n r) after r is refined by Newton's method
-    on the exact factor to an absolute precision far below 1 / |a_n|.  It is
-    kept if it is closer to r than half the distance to the nearest other
-    float root and the factor vanishes there exactly.  Monic coefficients
-    beyond the float range are refused with ``ValueError``.
+    factor, and each float root r is refined by ``_refine`` to z within
+    2^-128.  A Gaussian-rational root of a primitive factor has a
+    denominator dividing its leading coefficient a_n, so r gets one
+    candidate w / a_n, w = round(a_n z).  It is kept if it is closer to r
+    than half the distance to the nearest other float root and the factor
+    vanishes there exactly; otherwise z itself is returned, inexact.  Monic
+    coefficients beyond the float range are refused with ``ValueError``.
     """
     deg = len(factor) - 1
     lead = factor[-1]
@@ -222,8 +226,9 @@ def _squarefree_roots(factor):
     import numpy as np
 
     monic = [ComplexRational.of(*c) / a_n for c in reversed(factor)]
-    # real companion matrix: exact double roots stay real instead of
-    # splitting into a conjugate pair at ~sqrt(machine eps)
+    # real companion matrix: a real factor's near-double roots (case 8's
+    # 1 +- 1.4e-10) stay real instead of splitting into a conjugate pair at
+    # ~sqrt(machine eps), which the refinement could not bring back
     real = all(c.is_real for c in monic)
     try:
         numeric = np.roots([float(c.re) if real else c.as_complex() for c in monic])
@@ -233,22 +238,24 @@ def _squarefree_roots(factor):
     out = []
     for i, r in enumerate(numeric):
         radius = min(abs(r - s) for j, s in enumerate(numeric) if j != i) / 2
-        w = _candidate(factor, r, radius)
+        z, bits = _refine(factor, r, radius)
+        w = _gquo(_gmul(lead, z), (1 << bits, 0))
         cand = ComplexRational.of(*w) / a_n
         # the factor vanishes at w / a_n iff a_n z - w divides it
         if abs(cand.as_complex() - r) < radius and not _prem(factor, ((-w[0], -w[1]), lead)):
             out.append((cand, True))
         else:
-            out.append((complex(r), False))
+            out.append((ComplexRational(Fraction(z[0], 1 << bits), Fraction(z[1], 1 << bits)), False))
     return out
 
 
 def _cluster_numeric(roots):
-    """Greedy clustering of unverified numeric roots within ``_CLUSTER_TOL``."""
-    roots = sorted(roots, key=lambda rm: (rm[0].real, rm[0].imag))
+    """Greedy clustering of refined inexact roots within ``_CLUSTER_TOL``; each
+    cluster centre is rounded once, by ``ComplexRational.rounded``."""
+    roots = sorted(roots, key=lambda rm: rm[0].key())
     clusters = []
     for z, mult in roots:
-        if clusters and abs(z - clusters[-1][0][-1]) <= _CLUSTER_TOL:
+        if clusters and abs((z - clusters[-1][0][-1]).as_complex()) <= _CLUSTER_TOL:
             clusters[-1][0].append(z)
             clusters[-1][1].append(mult)
         else:
@@ -256,8 +263,9 @@ def _cluster_numeric(roots):
     out = []
     for zs, mults in clusters:
         total = sum(mults)
-        center = sum(z * m for z, m in zip(zs, mults)) / total
-        out.append(Root(ComplexRational.from_complex(center), total, False))
+        center = ComplexRational(sum(z.re * m for z, m in zip(zs, mults)) / total,
+                                 sum(z.im * m for z, m in zip(zs, mults)) / total)
+        out.append(Root(center.rounded(), total, False))
     return out
 
 
@@ -273,8 +281,9 @@ def polynomial_roots(poly) -> tuple:
     """Roots with multiplicities of an exact polynomial, leading coefficient nonzero.
 
     Square-free factors over the Gaussian integers first; each exact root is
-    found by the a_n rule of ``_squarefree_roots``, and the numeric roots
-    left are clustered at tolerance 1e-9 and rationalized for storage.  A
+    found by the a_n rule of ``_squarefree_roots``, and the refined inexact
+    roots left are clustered at tolerance 1e-9, each cluster stored as the
+    rational nearest its centre with denominator at most 10^12.  A
     polynomial beyond ``_BITS_BUDGET`` or ``_DEGREE_BITS_BUDGET`` is refused
     with ``ValueError`` before any gcd is taken.
     """

@@ -454,8 +454,12 @@ def apply_bop_numeric(op, values, x_grid):
 
     x d/dx is d/d(log x), so the stencil is translation invariant on the
     grid.  Returns (trimmed grid, result); 3*order points are lost per side.
-    Warns when the log spacing is too coarse for the stencil order.
+    Warns when the log spacing is too coarse for the stencil order.  Like
+    the rest of the numeric oracle it is real-only: an operator with a
+    non-real coefficient is refused with ``ValueError``.
     """
+    if not all(c.is_real for s in op.coeffs for c in s):
+        raise ValueError("apply_bop_numeric expects real coefficients")
     x_grid = np.asarray(x_grid, dtype=float)
     values = np.asarray(values, dtype=float)
     h = _log_step(x_grid)
@@ -469,17 +473,15 @@ def apply_bop_numeric(op, values, x_grid):
     if trim * 2 + 7 > len(values):
         raise ValueError("grid too short for the stencil width")
     x_out = x_grid[trim: len(x_grid) - trim] if trim else x_grid
-    total = np.zeros(len(x_out), dtype=complex)
-    d = values.astype(float)
+    total = np.zeros(len(x_out))
+    d = values
     for j in range(m + 1):
         pad = trim - 3 * j
         aligned = d[pad: len(d) - pad] if pad else d
-        coeff = np.zeros(x_out.shape, dtype=complex)  # a_j(x) by complex Horner
+        coeff = np.zeros(x_out.shape)  # a_j(x) by Horner
         for c in reversed(op.coeffs[j]):
-            coeff = coeff * x_out + c.as_complex()
+            coeff = coeff * x_out + float(c.re)
         total += coeff * aligned
         if j < m:
             d = _dlog(d, h)
-    if np.max(np.abs(total.imag)) < 1e-12 * (1.0 + np.max(np.abs(total.real))):
-        return x_out, total.real
     return x_out, total

@@ -4,12 +4,14 @@ All exponents and exact coefficients in the package are Gaussian rationals:
 pairs of ``fractions.Fraction``.  Equality is decidable, arithmetic is exact,
 and the total output order used everywhere is lexicographic in (re, im).
 
-``ComplexRational.from_complex`` is the only place where a float is
-rounded into a Fraction: the root finder's cluster centres (a root candidate
-is an integer rounding, kept only when verified).  ``as_fraction`` refuses a
-float.  ``ComplexRational.rounded`` is the one rounding rule: ``from_complex``
-applies it, and so does ``model_inverse`` to its coefficients when a root is
-inexact.  This module holds the only JSON codec for a scalar
+No float is rounded into a Fraction by the library: ``as_fraction`` refuses
+a float, and the root finder stores an inexact root as the rational nearest
+its exact Newton refinement (to 2^-128), never as the float it started from.
+``ComplexRational.rounded`` is the one rounding rule: the root finder applies
+it to each cluster centre, and ``model_inverse`` to its coefficients when a
+root is inexact.  ``ComplexRational.from_complex`` rounds a float by the same
+rule for callers outside the library; nothing in bcalc calls it.  This module
+holds the only JSON codec for a scalar
 (``ComplexRational.to_jsonable``/``from_jsonable``).
 """
 from __future__ import annotations

@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 import sympy
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 
 from bcalc import boperators as bop
 from bcalc import numeric as num
@@ -16,7 +16,7 @@ from bcalc.errors import (
     InadmissibleWeight,
     NotBElliptic,
 )
-from bcalc.indexsets import EMPTY, SMOOTH, IndexEntry, IndexSet
+from bcalc.indexsets import EMPTY, SMOOTH, IndexEntry, IndexSet, residue_class
 from bcalc.rationals import ComplexRational as CR
 
 
@@ -224,6 +224,52 @@ def test_perturbed_double_root_clusters():
     assert root.multiplicity == 2 and not root.exact
     assert abs(float(root.value.re) - 1.0) <= 1e-9
     assert {(e.z.re, e.p) for e in ind.spec_b} == {(Fraction(1), 0), (Fraction(1), 1)}
+
+
+def test_irrational_roots_an_integer_apart_form_one_chain():
+    # (z^2 - 2)(z^2 - 2z - 1): sqrt(2) and 1 + sqrt(2) differ by exactly 1
+    ind = bop.indicial(op_from([2], [4], [-3], [-2], [1]))
+    lb, rb = bop.split_spec(ind, Fraction(-1, 2))
+    assert len(lb.generators) == 2 and len(rb.generators) == 1
+    sqrt2_lb, _ = bop.split_spec(bop.indicial(op_from([-2], [0], [1])), Fraction(-1, 2))
+    assert max(g.p for g in lb.extended_union(sqrt2_lb).generators) == 1
+
+
+quadratics = (st.lists(st.builds(lambda n, d: CR.of(Fraction(n, d)), st.integers(-6, 6),
+                                 st.integers(1, 4)), min_size=3, max_size=3)
+              | st.lists(gaussian_rationals, min_size=3, max_size=3)).filter(lambda q: q[-1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(quadratics, st.sampled_from([1, 2, 3]))
+def test_shifted_irrational_roots_are_accurate_and_share_a_class(q, a):
+    # q(z) q(z - a), with q irreducible over the Gaussian rationals: each
+    # root is stored as the rational nearest its refinement, and rounding
+    # commutes with the integer shift
+    (factor, _), *rest = _to_sympy(q).factor_list()[1]
+    assume(factor.degree() == 2 and not rest)
+    roots = bop.polynomial_roots(tuple(_mul(q, _shifted(q, CR.of(-a)))))
+    assert len(roots) == 4 and all(r.multiplicity == 1 and not r.exact for r in roots)
+    want = _to_sympy(q).nroots(n=40)
+    want += [w + a for w in want]
+    for r in roots:
+        z = sympy.Rational(str(r.value.re)) + sympy.I * sympy.Rational(str(r.value.im))
+        assert min(abs(sympy.N(z - w, 40)) for w in want) < 1e-20
+    classes = {residue_class(r.value) for r in roots}
+    assert len(classes) == 2
+
+
+def test_indicial_rounds_no_float_into_a_fraction(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("indicial rounded a float")
+
+    monkeypatch.setattr(CR, "from_complex", refuse)
+    for coeffs in (([-2], [0], [1]),  # +-sqrt(2)
+                   ([CR.of(Fraction(1, 3))], [CR.of(1, 1)], [1]),  # complex, irrational
+                   ([1 - Fraction(2, 10**20)], [-2], [1])):  # case 8's near-double root
+        ind = bop.indicial(op_from(*coeffs))
+        assert sum(r.multiplicity for r in ind.roots) == 2
+        assert not any(r.exact for r in ind.roots)
 
 
 def test_operator_json_roundtrip():

@@ -327,6 +327,25 @@ def test_op_output_for_coefficients_below_float_range(tmp_path, capsys):
             assert run(capsys, "op", action[0], op, *action[1:]) == (0, out), (coeffs, action)
 
 
+def test_op_specb_prints_irrational_roots_of_equal_magnitude(tmp_path, capsys):
+    # z^2 - 2: each root is the rational nearest +-sqrt(2), so they are negatives
+    op = write(tmp_path, "op.json", {"coeffs": [["-2"], ["0"], ["1"]]})
+    code, out = run(capsys, "--json", "op", "specb", op)
+    assert code == 0
+    roots = [Fraction(e["re"]) for e in json.loads(out)["spec_b"]]
+    assert len(roots) == 2 and roots[0] == -roots[1] != 0
+
+
+def test_op_actions_on_an_order_zero_operator(tmp_path, capsys):
+    op = write(tmp_path, "op.json", {"coeffs": [["1"]]})
+    assert run(capsys, "op", "specb", op) == (0, "boundary spectrum:\n")
+    assert run(capsys, "op", "split", op, "--gamma", "0") == (0, "E_lb = {}\nE_rb = {}\n")
+    assert main(["op", "inverse", op, "--gamma", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == "error: indicial polynomial is constant; nothing to invert"
+
+
 def test_op_hs_samples_the_kernel_for_a_wide_support(capsys):
     # the bump's front-face norm, which one quadrature over [1/C, C] missed from C = 120
     code, out = run(capsys, "--json", "op", "hs", "--support-c", "1e6")

@@ -95,6 +95,13 @@ def test_apply_bop_requires_geometric_grid():
         num.apply_bop_numeric(op, grid, grid)
 
 
+def test_apply_bop_refuses_non_real_coefficients():
+    op = bop.BDiffOp.from_lists([[CR.of(1, 1)], [1]])
+    grid = num.geometric_grid(2.0, 0.98, 100)
+    with pytest.raises(ValueError, match="real"):
+        num.apply_bop_numeric(op, grid, grid)
+
+
 def test_apply_bop_inverts_model_ode_solution():
     c = Fraction(3, 2)
     cut = num.plateau_cutoff(0.5, 1.5)
