@@ -241,11 +241,12 @@ def _squarefree_roots(factor):
         z, bits = _refine(factor, r, radius)
         w = _gquo(_gmul(lead, z), (1 << bits, 0))
         cand = ComplexRational.of(*w) / a_n
-        # the factor vanishes at w / a_n iff a_n z - w divides it
+        # the factor vanishes at w / a_n iff the linear a_n t - w divides it
         if abs(cand.as_complex() - r) < radius and not _prem(factor, ((-w[0], -w[1]), lead)):
             out.append((cand, True))
         else:
-            out.append((ComplexRational(Fraction(z[0], 1 << bits), Fraction(z[1], 1 << bits)), False))
+            scale = 1 << bits
+            out.append((ComplexRational(Fraction(z[0], scale), Fraction(z[1], scale)), False))
     return out
 
 
