@@ -6,10 +6,14 @@ calculus operations and print deterministic text or JSON reports.
 handler, the kind of each file it reads, and the flags it reads.  The
 parser is built from it, so a wrong number of files or a flag the action
 does not read is a usage error; ``--json`` is accepted anywhere.
-Each action loads only the layer it runs: this module imports the index-set
-layer and ``serialize`` at the top, and each handler imports its own layer
-in its body (``geometry`` for ``space`` and ``map``, ``transport`` for
-``transport``, ``boperators`` for ``op``), calling it through the module.
+Each action loads only the layer it runs, by one rule: this module imports
+nothing of bcalc but ``errors`` at the top, and whatever runs a layer
+imports it in its body and calls it through the module.  So a handler
+imports ``indexsets`` for ``indexset complete`` (through this module's
+``complete``, which a tracer can wrap), ``geometry`` for ``space`` and
+``map``, ``transport`` for ``transport`` and ``boperators`` for ``op``;
+``main`` imports ``serialize`` only when the action reads files, and a
+rational flag, whose string default parses too, imports ``rationals``.
 NumPy loads only where floats are crunched: ``apply-check``, ``hs`` and
 ``verify`` import ``numeric`` inside their handlers, and an ``op`` action
 runs the float root finder when an indicial factor has degree two or more.
@@ -24,12 +28,8 @@ import argparse
 import json
 import re
 import sys
-from fractions import Fraction
 
 from .errors import HypothesisViolation, NumericFailure, SchemaError
-from .indexsets import IndexFamily, IndexSet, complete
-from .rationals import as_fraction
-from .serialize import load_typed, load_object
 
 
 def _round_floats(obj):
@@ -55,7 +55,7 @@ def _entry_text(e):
     return f"  z = {z:<12} p = {e.p}"
 
 
-def _set_report(s: IndexSet, bound):
+def _set_report(s, bound):
     lines = ["generators:"]
     lines += [_entry_text(g) for g in s.sorted_generators()] or ["  (empty)"]
     members = s.truncate(bound)
@@ -79,7 +79,15 @@ def _set_operation(method):
     return handler
 
 
+def complete(entries):
+    from . import indexsets
+
+    return indexsets.complete(entries)
+
+
 def _indexset_complete(args, entries):
+    from .indexsets import IndexSet
+
     if isinstance(entries, IndexSet):
         entries = entries.sorted_generators()
     return _set_report(complete(entries), args.truncate)
@@ -179,7 +187,7 @@ def _map_check_bfibration(args, f):
 # -- transport ----------------------------------------------------------------
 
 
-def _family_lines(fam: IndexFamily):
+def _family_lines(fam):
     lines = []
     for name, s in fam.sets:
         entries = ", ".join(f"({g.z},{g.p})" for g in s.sorted_generators()) or "empty"
@@ -350,7 +358,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _rational(text: str) -> Fraction:
+def _rational(text: str):
+    from .rationals import as_fraction
+
     try:
         return as_fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -358,10 +368,11 @@ def _rational(text: str) -> Fraction:
 
 
 _FLAGS = {
-    "--truncate": dict(type=_rational, default=Fraction(10),
+    # argparse runs a string default through ``type``: these parse to Fractions
+    "--truncate": dict(type=_rational, default="10",
                        help="Re z bound for printed truncations (default 10)"),
     "--tol": dict(type=float, default=1e-8, help="quadrature tolerance (default 1e-8)"),
-    "--gamma": dict(type=_rational, default=Fraction(0), help="weight parameter (rational)"),
+    "--gamma": dict(type=_rational, default="0", help="weight parameter (rational)"),
     "--steps": dict(type=int, default=1, help="parametrix iteration count"),
     "--support": dict(type=float, nargs=2, default=(1.0, 3.0), help="test-function support"),
     "--kernel": dict(choices=["bump", "x-bump", "zero"], default="bump", help="built-in kernel"),
@@ -454,8 +465,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        objects = [load_typed(path, kind) if kind else load_object(path)
-                   for path, kind in zip(args.files, args.kinds)]
+        objects = []
+        if args.files:
+            from . import serialize
+
+            objects = [serialize.load_typed(path, kind) if kind else serialize.load_object(path)
+                       for path, kind in zip(args.files, args.kinds)]
         payload, lines, code = args.handler(args, *objects)
     except HypothesisViolation as exc:
         msg = {"error": type(exc).__name__, "message": str(exc)}

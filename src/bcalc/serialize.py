@@ -7,8 +7,10 @@ adds schema sniffing so CLI arguments can be plain files of any supported
 kind.  It is also the one place where decoded JSON that cannot be read
 becomes a ``SchemaError``: each reader passes fields as written to its
 constructor, and whatever the reader or the constructor raises is reported
-here.  ``geometry`` and ``boperators`` are imported only in the branch that
-reads one of their schemas, so reading an index set loads neither.
+here.  ``indexsets``, ``geometry`` and ``boperators`` are each imported
+only in the branch that reads one of their schemas, so reading a b-map
+loads no index-set layer and reading an index set loads neither of the
+others.
 """
 from __future__ import annotations
 
@@ -16,7 +18,6 @@ import json
 from pathlib import Path
 
 from .errors import SchemaError
-from .indexsets import IndexEntry, IndexFamily, IndexSet
 
 
 def parse_object(data):
@@ -25,8 +26,10 @@ def parse_object(data):
         if not isinstance(data, dict):
             raise SchemaError(f"cannot interpret {type(data).__name__} as a known object")
         if "generators" in data:
+            from .indexsets import IndexSet
             return IndexSet.from_jsonable(data)
         if "assignment" in data:
+            from .indexsets import IndexFamily
             return IndexFamily.from_jsonable(data)
         if "e" in data and "source" in data:
             from .geometry import BMapDescriptor
@@ -41,6 +44,7 @@ def parse_object(data):
             from .boperators import FullCalcDescriptor
             return FullCalcDescriptor.from_jsonable(data)
         if "entries" in data:  # a raw entry list, as ``indexset complete`` reads it
+            from .indexsets import IndexEntry
             entries = data["entries"]
             if not isinstance(entries, list):
                 raise SchemaError(f"an entry list must be a list, got {entries!r}")

@@ -13,7 +13,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from bcalc import boperators as bop
-from bcalc import cli, verify
+from bcalc import cli, serialize, verify
 from bcalc import geometry as geo
 from bcalc.cli import main
 from bcalc.errors import (
@@ -661,24 +661,29 @@ else:  # the benchmark's setup snippet
     geometry.x2b(); geometry.triple_b_space()
     code = 0
 print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "bcalc"),
-                  [m for m in ("numpy", "dataclasses", "inspect") if m in sys.modules]]))
+                  [m for m in ("numpy", "dataclasses", "inspect") if m in sys.modules],
+                  [m for m in ("fractions", "decimal") if m in sys.modules]]))
 """
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
 
-    def loads(*argv):
+    def loads(*argv, rationals=True):
         proc = subprocess.run([sys.executable, "-c", child, json.dumps(argv)],
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
-        code, modules, heavy = json.loads(proc.stdout)
+        code, modules, heavy, fractions = json.loads(proc.stdout)
         assert code == 0 and not heavy, (argv, code, heavy)
+        # Fraction (and the decimal module it imports) loads with the layers that use it
+        assert bool(fractions) == rationals, (argv, fractions)
         return {m.removeprefix("bcalc.") for m in modules}
 
+    # the spaces need no index sets, no rationals and no serializer
+    spaces = {"bcalc", "cli", "errors", "records", "geometry"}
     core = {"bcalc", "cli", "errors", "indexsets", "rationals", "records", "serialize"}
     # the exact layers are records, not dataclasses: no dataclasses, no inspect
-    assert loads() == core | {"geometry"}
+    assert loads(rationals=False) == spaces
+    assert loads("space", "triple", rationals=False) == spaces
+    assert loads("map", "compose", pi2, proj, rationals=False) == spaces | {"serialize"}
     assert loads("indexset", "extunion", smooth, smooth) == core
-    assert loads("space", "triple") == core | {"geometry"}
-    assert loads("map", "compose", pi2, proj) == core | {"geometry"}
     assert loads("transport", "pushforward", proj, fam) == core | {"geometry", "transport"}
     # a first-order operator's root is exact, so no root finder runs
     assert loads("op", "compose", desc, desc) == core | {"boperators"}
@@ -689,6 +694,70 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "bca
         [sys.executable, "-c", "import sys, bcalc.verify; print('dataclasses' in sys.modules)"],
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0 and proc.stdout == "False\n", proc.stderr
+
+
+def test_the_traced_names_of_cli_stay_the_calls_it_makes(tmp_path, monkeypatch):
+    # a tracer wraps cli.complete, cli.main and serialize.load_typed by name, so
+    # the calls a run makes must go through those names
+    assert callable(cli.complete) and callable(cli.main)
+    seen = []
+
+    def complete(entries):
+        seen.append("complete")
+        return original_complete(entries)
+
+    def load_typed(path, kind):
+        seen.append(kind)
+        return original_load_typed(path, kind)
+
+    original_complete, original_load_typed = cli.complete, serialize.load_typed
+    monkeypatch.setattr(cli, "complete", complete)
+    monkeypatch.setattr(serialize, "load_typed", load_typed)
+    raw = write(tmp_path, "raw.json", {"entries": [{"re": "0", "im": "0", "p": 0}]})
+    assert main(["indexset", "complete", raw]) == 0
+    assert seen == ["complete"]
+    proj = write(tmp_path, "proj.json", geo.halfline_projection(1))
+    pi2 = write(tmp_path, "pi2.json", geo.lifted_projection(2))
+    assert main(["map", "compose", pi2, proj]) == 0
+    assert seen == ["complete", "BMapDescriptor", "BMapDescriptor"]
+
+
+HELP = {
+    ("indexset", "union"): """\
+usage: bcalc indexset union [-h] [--truncate TRUNCATE] [--json] FILE FILE
+
+positional arguments:
+  FILE
+
+options:
+  -h, --help           show this help message and exit
+  --truncate TRUNCATE  Re z bound for printed truncations (default 10)
+  --json               machine-readable output
+""",
+    ("op", "split"): """\
+usage: bcalc op split [-h] [--gamma GAMMA] [--json] FILE
+
+positional arguments:
+  FILE
+
+options:
+  -h, --help     show this help message and exit
+  --gamma GAMMA  weight parameter (rational)
+  --json         machine-readable output
+""",
+}
+
+
+def test_rational_flag_defaults_are_fractions(capsys, monkeypatch):
+    parser = cli.build_parser()
+    truncate = parser.parse_args(["indexset", "union", "a", "b"]).truncate
+    gamma = parser.parse_args(["op", "split", "a"]).gamma
+    assert (truncate, gamma) == (Fraction(10), Fraction(0))
+    assert type(truncate) is Fraction and type(gamma) is Fraction
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv, text in HELP.items():
+        assert exit_code([*argv, "--help"]) == 0
+        assert capsys.readouterr().out == text
 
 
 def test_numeric_failure_is_exit_3(capsys):
