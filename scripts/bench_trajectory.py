@@ -36,11 +36,12 @@ PRINTED = re.compile(r"^  (run_s|op_p50_ms|op_tail_ms|verify_s|fail_frac) +(\S+)
 MARGIN = re.compile(r"^ +(\S+)  (\S+) / (\S+)  (.+?)(  \[known defect\])?$")
 
 
-def run(workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One perfbench run: its result line, printed metrics and margins."""
+def run(workload: str, seed: int, seconds: float, trace: int, root: Path = ROOT) -> dict:
+    """One perfbench run in the tree at ``root``: its result line, printed
+    metrics and margins."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", str(trace)]
-    out = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, check=True).stdout
+    out = subprocess.run(argv, cwd=root, capture_output=True, text=True, check=True).stdout
     lines = out.splitlines()
     result = json.loads(lines[-1])
     record = {"seed": seed, "trace": trace, "correct": result["correct"],

@@ -15,6 +15,7 @@ from bcalc.errors import (
     CompositionUndefined,
     InadmissibleWeight,
     NotBElliptic,
+    QuadratureError,
 )
 from bcalc.indexsets import EMPTY, SMOOTH, IndexEntry, IndexSet, residue_class
 from bcalc.rationals import ComplexRational as CR
@@ -555,6 +556,74 @@ def test_apply_check_rejects_non_real_coefficients():
     op = op_from([2], [2], [1])
     kernel = bop.model_inverse(bop.indicial(op), 0)
     assert bop.apply_check(op, kernel, num.smooth_bump(2.0, 1.0), (1.0, 3.0)).max_residual < 1e-5
+
+
+# case 9's three first-order kernels and (z+5/4)(z+11/4) below, between and
+# above its roots
+_FAST_PATH_CASES = [(op_from([c], [1]), 1 - Fraction(c)) for c in (1, Fraction(1, 2), 2)] + [
+    (op_from([Fraction(55, 16)], [4], [1]), gamma) for gamma in (0, -2, -3)]
+
+
+@pytest.mark.parametrize("op, gamma", _FAST_PATH_CASES)
+def test_apply_check_kernel_integral_matches_adaptive_quadrature(op, gamma):
+    import warnings
+
+    import scipy.integrate
+
+    kernel = bop.model_inverse(bop.indicial(op), gamma)
+    v = num.smooth_bump(2.0, 1.0)
+    x = np.geomspace(0.6, 5.5, 7)
+    u = bop._apply_kernel(kernel, v, (1.0, 3.0), x)
+    reference = []
+    for xi in x:
+        with warnings.catch_warnings():  # QUADPACK may warn of roundoff at 1e-14
+            warnings.simplefilter("ignore")
+            reference.append(scipy.integrate.quad(
+                lambda t: kernel.evaluate(t / xi) * v(t) / t, 1.0, 3.0,
+                points=[xi] if 1.0 < xi < 3.0 else None, epsabs=1e-14, epsrel=1e-14,
+                limit=500)[0])
+    reference = np.array(reference)
+    assert np.max(np.abs(u - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
+def test_apply_check_separates_a_kernel_off_by_one_part_in_ten_million():
+    op = op_from([1], [1])
+    kernel = bop.model_inverse(bop.indicial(op), 0)
+    (term,) = kernel.terms
+    scaled = bop.ModelKernel((bop.KernelTerm(
+        term.z, term.p, term.side, term.coeff * CR.of(1 + Fraction(1, 10 ** 7))),))
+    v = num.smooth_bump(2.0, 1.0)
+    exact = bop.apply_check(op, kernel, v, (1.0, 3.0))
+    assert exact.max_residual < 2e-8
+    assert bop.apply_check(op, scaled, v, (1.0, 3.0)).max_residual > 5e-8
+    assert (exact.grid_points, exact.nodes) == (1658, 200)
+    assert exact.log_step == pytest.approx(math.log(12.0) / 1657) and exact.log_step <= 0.0015
+
+
+def test_apply_check_budget_refuses_the_supports_it_always_refused():
+    # b/a above about 2.7e12 needs more than _GRID_BUDGET points at log step 0.0015
+    op = op_from([1], [1])
+    kernel = bop.model_inverse(bop.indicial(op), 0)
+    report = bop.apply_check(op, kernel, lambda t: 0.0, (1.0, 2e12))
+    assert report.max_residual == 0.0 and report.grid_points == 19808
+    with pytest.raises(ValueError, match="budget of 20000 grid points"):
+        bop.apply_check(op, kernel, lambda t: 0.0, (1.0, 3e12))
+
+
+def test_apply_check_below_both_roots_reads_the_stencil_floor():
+    # the kernel grows like s^(11/4) on s > 1; adaptive quadrature read 8.6e-5 here
+    op = op_from([Fraction(55, 16)], [4], [1])
+    report = bop.apply_check(op, bop.model_inverse(bop.indicial(op), -3),
+                             num.smooth_bump(2.0, 1.0), (1.0, 3.0))
+    assert report.max_residual < 1e-7
+
+
+def test_apply_check_refuses_a_kernel_that_overflows_the_grid():
+    # weight -3000 below the root -2000: the kernel grows like s^2000 on s > 1
+    op = op_from([2000], [1])
+    with pytest.raises(QuadratureError, match="overflow"):
+        bop.apply_check(op, bop.model_inverse(bop.indicial(op), -3000),
+                        num.smooth_bump(2.0, 1.0), (1.0, 3.0))
 
 
 # -- descriptor algebra ------------------------------------------------------------------

@@ -429,10 +429,25 @@ def test_op_action(tmp_path, capsys):
 
 def test_op_apply_check(tmp_path, capsys):
     op = write(tmp_path, "op.json", bop.BDiffOp.from_lists([[1], [1]]))
-    code, out = run(capsys, "--json", "op", "apply-check", op, "--gamma", "0",
-                    "--tol", "1e-9")
+    code, out = run(capsys, "--json", "op", "apply-check", op, "--gamma", "0")
     assert code == 0
-    assert json.loads(out)["max_residual"] < 1e-5
+    report = json.loads(out)
+    assert report["max_residual"] < 1e-7
+    # the cost: the default support 1 3 needs 1,658 points of the log grid
+    assert (report["grid_points"], report["nodes"]) == (1658, 200)
+    assert 0.0014 < report["log_step"] <= 0.0015
+    code, out = run(capsys, "op", "apply-check", op)
+    assert code == 0 and out.startswith("max residual of P(Kv) - v: 1.10")
+    assert len(out.splitlines()) == 1
+
+
+def test_op_apply_check_takes_no_tolerance(tmp_path, capsys):
+    # the residual is the stencil's, not a quadrature's: only op hs takes --tol
+    op = write(tmp_path, "op.json", bop.BDiffOp.from_lists([[1], [1]]))
+    assert exit_code(["op", "apply-check", op, "--tol", "1e-9"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.strip().splitlines()) == 1
+    assert "--tol" in captured.err
 
 
 def test_op_hs_zero_kernel(capsys):
@@ -636,9 +651,9 @@ print(json.dumps({{"codes": codes, "loaded": loaded, "apply": json.loads(out.get
     assert report["codes"] == [0] * 6
     # the import, the built-in spaces and the exact subcommands (a first-order
     # operator's root is exact) load neither NumPy nor SciPy; apply-check's
-    # quadrature loads both
-    assert report["loaded"] == [[False, False]] * 6 + [[True, True]]
-    assert report["apply"]["max_residual"] < 1e-5
+    # Gauss-Legendre quadrature loads NumPy, not SciPy
+    assert report["loaded"] == [[False, False]] * 6 + [[True, False]]
+    assert report["apply"]["max_residual"] < 1e-7
 
 
 def test_each_action_loads_only_its_layer(tmp_path):
@@ -661,17 +676,18 @@ else:  # the benchmark's setup snippet
     geometry.x2b(); geometry.triple_b_space()
     code = 0
 print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "bcalc"),
-                  [m for m in ("numpy", "dataclasses", "inspect") if m in sys.modules],
+                  [m for m in ("numpy", "scipy", "dataclasses", "inspect") if m in sys.modules],
                   [m for m in ("fractions", "decimal") if m in sys.modules]]))
 """
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
 
-    def loads(*argv, rationals=True):
+    def loads(*argv, rationals=True, numpy=False):
         proc = subprocess.run([sys.executable, "-c", child, json.dumps(argv)],
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         code, modules, heavy, fractions = json.loads(proc.stdout)
-        assert code == 0 and not heavy, (argv, code, heavy)
+        # NumPy itself loads inspect
+        assert code == 0 and heavy == (["numpy", "inspect"] if numpy else []), (argv, code, heavy)
         # Fraction (and the decimal module it imports) loads with the layers that use it
         assert bool(fractions) == rationals, (argv, fractions)
         return {m.removeprefix("bcalc.") for m in modules}
@@ -688,6 +704,8 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "bca
     # a first-order operator's root is exact, so no root finder runs
     assert loads("op", "compose", desc, desc) == core | {"boperators"}
     assert loads("op", "specb", op) == core | {"boperators"}
+    # the apply check crunches floats with NumPy, and loads no SciPy
+    assert loads("op", "apply-check", op, numpy=True) == core | {"boperators", "numeric"}
     # the acceptance suite's layers, numeric among them, are records too
     # (NumPy itself loads inspect)
     proc = subprocess.run(

@@ -50,6 +50,43 @@ def test_quadrature_spec_validation():
             num.QuadratureSpec(rel_tol=tol)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 20, 200])
+def test_gauss_legendre_matches_numpy_and_is_exact_on_polynomials(n):
+    nodes, weights = num.gauss_legendre(n)
+    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n)
+    assert np.all(np.diff(nodes) > 0)
+    assert np.max(np.abs(nodes - ref_nodes)) <= 2e-16
+    assert np.max(np.abs(weights - ref_weights)) <= 1e-14
+    for k in range(0, 2 * n, max(1, n // 5)):  # x^k, k <= 2n - 1, integrates exactly
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(weights @ nodes ** k - exact) <= 1e-14
+
+
+# -- test functions -------------------------------------------------------------------
+
+
+def test_test_functions_take_floats_and_arrays_alike():
+    bump, cut = num.smooth_bump(2.0, 1.0), num.plateau_cutoff(0.5, 1.0)
+    for f, lo, hi in ((bump, 1.0, 3.0), (cut, 0.5, 1.0)):
+        edges = [lo, hi, np.nextafter(lo, hi), np.nextafter(hi, lo),
+                 np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf), 0.0, -1.0, 1e300]
+        t = np.concatenate([np.linspace(lo - 0.5, hi + 0.5, 10_000 - len(edges)), edges])
+        values = f(t)
+        floats = np.array([f(float(x)) for x in t])
+        assert values.shape == t.shape
+        # zero (and one, for the cutoff) exactly where the float form says so
+        assert np.array_equal(values == 0.0, floats == 0.0)
+        assert np.array_equal(values == 1.0, floats == 1.0)
+        # np.exp and math.exp may differ in the last bit
+        assert np.max(np.abs(values - floats)) <= 4.5e-16
+    # outside the support and at its edges
+    assert bump(np.array([0.5, 1.0, 3.0, 3.5])).tolist() == [0.0] * 4
+    assert cut(np.array([0.0, 0.5, 1.0, 2.0])).tolist() == [1.0, 1.0, 0.0, 0.0]
+    # a float gives the bits it always has
+    assert bump(2.5) == math.exp(1.0 - 1.0 / (1.0 - 0.25))
+    assert cut(0.75) == 0.5 and type(cut(0.75)) is float
+
+
 # -- geometric grids and operator application ----------------------------------------
 
 

@@ -94,8 +94,9 @@ CASES = {
         lambda: bop.model_inverse(bop.indicial(Z_PLUS_1), 0),
         lambda: bop.model_inverse(bop.indicial(Z_PLUS_1), -2), f"ModelKernel(terms=({TERM_REPR},))"),
     "ApplyCheckReport": (
-        lambda: bop.ApplyCheckReport(1e-7), lambda: bop.ApplyCheckReport(2e-7),
-        "ApplyCheckReport(max_residual=1e-07)"),
+        lambda: bop.ApplyCheckReport(1e-8, 1658, 0.0015, 200),
+        lambda: bop.ApplyCheckReport(2e-8, 1658, 0.0015, 200),
+        "ApplyCheckReport(max_residual=1e-08, grid_points=1658, log_step=0.0015, nodes=200)"),
     "FullCalcDescriptor": (
         lambda: bop.FullCalcDescriptor(-1, EMPTY, SMOOTH),
         lambda: bop.FullCalcDescriptor(-math.inf, EMPTY, SMOOTH),
