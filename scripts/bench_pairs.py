@@ -10,9 +10,10 @@ as a fresh checkout does.  Per metric it prints both medians, both
 quartile ranges and the pairs each side won (by ``BENCHMARK.json``'s
 ``better``, or lower for the printed ``run_s``, ``op_p50_ms``,
 ``op_tail_ms``, ``verify_s`` and ``fail_frac``); then each side's
-``correct`` and ``failed`` per run, and whether ``margin_max`` is
-identical on every run.  ``--json`` prints the same as one JSON object,
-with every run's values.  The output is parsed by
+``correct`` and ``failed`` per run, the check that sets ``margin_max`` in
+each run (its largest margin, known defects left out; untraced runs only),
+and whether ``margin_max`` is identical on every run.  ``--json`` prints the
+same as one JSON object, with every run's values.  The output is parsed by
 ``bench_trajectory.run``.
 
 Usage: ``python3 scripts/bench_pairs.py --base REV --workload W --seed N
@@ -54,6 +55,14 @@ def copy_working_tree(dest: Path) -> None:
         if (ROOT / name).is_file():  # a deleted tracked file is still listed
             (dest / name).parent.mkdir(parents=True, exist_ok=True)
             shutil.copy2(ROOT / name, dest / name)
+
+
+def margin_max_check(record: dict):
+    """The label of the run's largest margin outside the known defects, the
+    check that sets its ``margin_max``; None for a traced run."""
+    ratios = {label: m["measured"] / m["bound"] for label, m in record.get("margins", {}).items()
+              if not m["known_defect"]}
+    return max(ratios, key=ratios.get, default=None)
 
 
 def quartiles(values: list) -> tuple:
@@ -115,6 +124,7 @@ def main(argv=None) -> int:
         "seconds": seconds, "trace": args.trace,
         "correct": {side: [r["correct"] for r in runs[side]] for side in SIDES},
         "failed": {side: [r["failed"] for r in runs[side]] for side in SIDES},
+        "margin_max_check": {side: [margin_max_check(r) for r in runs[side]] for side in SIDES},
         "margin_max_identical": len(margins) == 1,
         "metrics": compare(runs, better),
     }
@@ -125,6 +135,11 @@ def main(argv=None) -> int:
           f"{args.pairs} pairs, --seconds {seconds:g}, --trace {args.trace}")
     for side in SIDES:
         print(f"{side:<6}  correct {report['correct'][side]}  failed {report['failed'][side]}")
+    for side in SIDES:
+        checks = report["margin_max_check"][side]
+        named = ", ".join(f"{label or 'none (traced)'} ({checks.count(label)} of {len(checks)})"
+                          for label in dict.fromkeys(checks))
+        print(f"{side:<6}  margin_max set by: {named}")
     print(f"margin_max identical on every run: {'yes' if report['margin_max_identical'] else 'no'}")
     print(f"{'metric':<32} {'base median [q1, q3]':>32} {'change median [q1, q3]':>32}  "
           "won base/change/tie")

@@ -68,7 +68,8 @@ def case_pushforward_numeric():
 
     fit = num.fit_expansion(grid, samples.values, LOG_SET, 8)
     coeff = fit.coeff_log_x(2, 1)
-    assert abs(coeff - (-0.5)) <= 1e-6, f"x^2 log x coefficient {coeff}"
+    off = abs(coeff - (-0.5))
+    assert off <= 1e-6, f"x^2 log x coefficient {coeff}"
 
     # the remainder past the truncation Re z <= 3 must vanish like x^4
     logs = np.log(1.0 / grid)
@@ -82,7 +83,7 @@ def case_pushforward_numeric():
     slope, _ = np.polyfit(np.log(grid[resolved]), np.log(np.abs(tail[resolved])), 1)
     assert 3.4 <= slope <= 4.6, f"tail decay exponent {slope}"
     return (
-        f"x^2 log x coefficient {coeff:.8f} (target -0.5), closed form to {gap:.2g}, "
+        f"x^2 log x coefficient -1/2 off by {off:.2g} (bound 1e-06), closed form to {gap:.2g}, "
         f"tail past Re z = 3 decays ~x^{slope:.2f}"
     )
 
@@ -98,8 +99,9 @@ def case_hyperbola_kernel():
     assert not samples.failed
     fit = num.fit_expansion(grid, samples.values, LOG_SET, 3)
     coeff = fit.coeff(0, 1)  # log(1/x) basis: +v(0,0)
-    assert abs(coeff - 1.0) <= 1e-5, f"log coefficient {coeff} vs Taylor oracle 1.0"
-    return f"fitted x^0 log coefficient {coeff:.7f} matches v(0,0) = 1"
+    off = abs(coeff - 1.0)
+    assert off <= 1e-5, f"log coefficient {coeff} vs Taylor oracle 1.0"
+    return f"fitted x^0 log coefficient v(0,0) = 1 off by {off:.2g} (bound 1e-05)"
 
 
 def case_pullback_random():
