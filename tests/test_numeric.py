@@ -174,6 +174,15 @@ def test_model_ode_fractional_powers():
     assert np.max(np.abs(u - np.sqrt(grid))) < 1e-11
 
 
+def test_model_ode_small_first_integral_is_relative():
+    # at c = 11/4 the integral over (0, x_0] is 1.5e-3 of u(x_0); u must not
+    # inherit abs_tol's error on that small integral (1.0e-10 before the rescaling)
+    grid = num.geometric_grid(2.0, 0.9, 30)
+    for c in (Fraction(9, 4), Fraction(5, 2), Fraction(11, 4)):
+        u = num.solve_model_ode(c, lambda t: 1.0, grid)
+        assert np.max(np.abs(u * float(c) - 1.0)) < 1e-14, c
+
+
 def test_model_ode_divergence_at_threshold():
     cut = num.plateau_cutoff(0.5, 1.0)
     grid = num.geometric_grid(0.8, 0.9, 15)
