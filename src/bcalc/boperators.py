@@ -21,8 +21,9 @@ produce k(s) = s^c on the s < 1 side, and is enforced numerically by
 Descriptor-level composition/action implement the index bookkeeping of the
 full calculus, including the Neumann parametrix iteration.
 
-The exact bookkeeping loads no NumPy: the float root finder for indicial
-factors of degree two or more, ``apply_check`` and
+The exact bookkeeping loads no NumPy, and neither does the float root
+finder for indicial factors of degree two or more (``rootfinder``,
+imported when such a factor first appears); ``apply_check`` and
 ``hs_front_face_criterion`` import NumPy and ``numeric`` when they run.
 """
 from __future__ import annotations
@@ -173,6 +174,27 @@ class Root(Record):
     __slots__ = ("value", "multiplicity", "exact")
 
 
+def _scaled_horner(factor, w, bits):
+    """2^(nP) factor(w / 2^P) and 2^((n-1)P) factor'(w / 2^P), P = ``bits``, by Horner."""
+    f, df = factor[-1], (0, 0)
+    for k, c in enumerate(reversed(factor[:-1]), 1):
+        df = _gadd(_gmul(df, w), f)
+        f = _gadd(_gmul(f, w), (c[0] << k * bits, c[1] << k * bits))
+    return f, df
+
+
+def _exact_ratio(factor, z):
+    """factor(z) / factor'(z) at the float z, from exact Horner sums over the
+    Gaussian integers, rounded once per part."""
+    (xn, xd), (yn, yd) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+    bits = max(xd, yd).bit_length() - 1  # the denominators are powers of two
+    w = (xn << bits + 1 - xd.bit_length(), yn << bits + 1 - yd.bit_length())
+    f, df = _scaled_horner(factor, w, bits)
+    num = _gmul(f, (df[0], -df[1]))  # f / df = 2^bits factor(z) / factor'(z)
+    den = (df[0] * df[0] + df[1] * df[1]) << bits
+    return complex(num[0] / den, num[1] / den)
+
+
 def _refine(factor, r, radius):
     """(z, P): the root of a primitive factor near the float r as z / 2^P.
 
@@ -186,12 +208,7 @@ def _refine(factor, r, radius):
     bits = 64  # beyond the float's own precision; doubled while below target
     z = (round(Fraction(r.real) * (1 << bits)), round(Fraction(r.imag) * (1 << bits)))
     for _ in range(target.bit_length() + 8):
-        # Horner: f = 2^(nP) factor(z / 2^P), df = 2^((n-1)P) factor'(z / 2^P)
-        f = lead
-        df = (0, 0)
-        for k, c in enumerate(reversed(factor[:-1]), 1):
-            df = _gadd(_gmul(df, z), f)
-            f = _gadd(_gmul(f, z), (c[0] << k * bits, c[1] << k * bits))
+        f, df = _scaled_horner(factor, z, bits)
         if df == (0, 0):
             break
         step = _gquo(f, df)
@@ -210,32 +227,31 @@ def _refine(factor, r, radius):
 def _squarefree_roots(factor):
     """Roots of a primitive square-free factor, each exact or marked inexact.
 
-    A degree-one factor is solved exactly, others by NumPy on the monic
-    factor, and each float root r is refined by ``_refine`` to z within
-    2^-128.  A Gaussian-rational root of a primitive factor has a
-    denominator dividing its leading coefficient a_n, so r gets one
-    candidate w / a_n, w = round(a_n z).  It is kept if it is closer to r
-    than half the distance to the nearest other float root and the factor
+    A degree-one factor is solved exactly, others by ``rootfinder.aberth``
+    (imported when first needed), and each float root r is refined by
+    ``_refine`` to z within 2^-128.  A Gaussian-rational root of a primitive
+    factor has a denominator dividing its leading coefficient a_n, so r gets
+    one candidate w / a_n, w = round(a_n z).  It is kept if it is closer to
+    r than half the distance to the nearest other float root and the factor
     vanishes there exactly; otherwise z itself is returned, inexact.  Monic
-    coefficients beyond the float range are refused with ``ValueError``.
+    coefficients beyond the float range, and a factor on which the float
+    iteration does not converge, are refused with ``ValueError``.
     """
     deg = len(factor) - 1
     lead = factor[-1]
     a_n = ComplexRational.of(*lead)
     if deg == 1:
         return [(-ComplexRational.of(*factor[0]) / a_n, True)]
-    import numpy as np
+    from . import rootfinder
 
-    monic = [ComplexRational.of(*c) / a_n for c in reversed(factor)]
-    # real companion matrix: a real factor's near-double roots (case 8's
-    # 1 +- 1.4e-10) stay real instead of splitting into a conjugate pair at
-    # ~sqrt(machine eps), which the refinement could not bring back
-    real = all(c.is_real for c in monic)
     try:
-        numeric = np.roots([float(c.re) if real else c.as_complex() for c in monic])
+        numeric = rootfinder.aberth(factor, lambda w: _exact_ratio(factor, w))
     except OverflowError:
         raise ValueError(f"a coefficient of the degree-{deg} indicial factor is "
                          f"too large for the float root finder") from None
+    if numeric is None:
+        raise ValueError(f"the float root finder did not converge on the degree-{deg} "
+                         f"indicial factor")
     out = []
     for i, r in enumerate(numeric):
         radius = min(abs(r - s) for j, s in enumerate(numeric) if j != i) / 2

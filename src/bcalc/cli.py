@@ -15,8 +15,9 @@ imports ``indexsets`` for ``indexset complete`` (through this module's
 ``main`` imports ``serialize`` only when the action reads files, and a
 rational flag, whose string default parses too, imports ``rationals``.
 NumPy loads only where floats are crunched: ``apply-check``, ``hs`` and
-``verify`` import ``numeric`` inside their handlers, and an ``op`` action
-runs the float root finder when an indicial factor has degree two or more.
+``verify`` import ``numeric`` inside their handlers; the float root finder
+an ``op`` action runs on an indicial factor of degree two or more is pure
+Python.
 Exit codes: 0 success, 1 malformed input (unreadable files or flags, usage
 errors), 2 violated theorem hypothesis (integrability, b-fibration,
 composition condition, inadmissible weight), 3 numeric failure (quadrature,

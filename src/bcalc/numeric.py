@@ -327,10 +327,17 @@ def fit_expansion(x, values, candidate: IndexSet, cutoff) -> PhgExpansion:
     cancellation; the step takes its x^2 log x coefficient from an error of
     4.3e-8 (``np.linalg.lstsq``) to 1.4e-9, a 50-digit solve's accuracy.
     ``ConditioningError`` refuses a zero column, fewer points than columns
-    or cond(A_s) over ``_COND_GUARD``; a non-finite sample is a ValueError.
+    or cond(A_s) over ``_COND_GUARD``; a grid point that is not finite and
+    positive, a non-finite sample, or grid and samples of different lengths
+    are a ValueError, raised before any LAPACK call.
     """
     x = np.asarray(x, dtype=float)
     values = np.asarray(values, dtype=float)
+    if len(x) != len(values):
+        raise ValueError(f"{len(x)} grid points but {len(values)} samples")
+    on_grid = np.isfinite(x) & (x > 0)
+    if not np.all(on_grid):
+        raise ValueError(f"grid point at index {np.argmin(on_grid)} is not finite and positive")
     if not np.all(np.isfinite(values)):
         raise ValueError(f"non-finite sample at index {np.argmin(np.isfinite(values))}")
     members = candidate.truncate(cutoff)

@@ -11,6 +11,7 @@ from hypothesis import assume, example, given, settings
 
 from bcalc import boperators as bop
 from bcalc import numeric as num
+from bcalc import rootfinder
 from bcalc.errors import (
     CompositionUndefined,
     InadmissibleWeight,
@@ -236,17 +237,31 @@ def test_irrational_roots_an_integer_apart_form_one_chain():
     assert max(g.p for g in lb.extended_union(sqrt2_lb).generators) == 1
 
 
-quadratics = (st.lists(st.builds(lambda n, d: CR.of(Fraction(n, d)), st.integers(-6, 6),
-                                 st.integers(1, 4)), min_size=3, max_size=3)
-              | st.lists(gaussian_rationals, min_size=3, max_size=3)).filter(lambda q: q[-1])
+def _near_double(c, eps):
+    """(z - c)^2 - eps: the real roots c +- sqrt(eps) for eps > 0, close together for a small eps."""
+    return [CR.of(c * c - eps), CR.of(-2 * c), CR.of(1)]
+
+
+small_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+quadratics = (st.lists(st.builds(CR.of, small_rationals), min_size=3, max_size=3)
+              | st.lists(gaussian_rationals, min_size=3, max_size=3)
+              | st.lists(st.builds(CR.of, st.integers(-20, 20), st.integers(-20, 20)),
+                         min_size=3, max_size=3)
+              # near-double real pairs, their roots 2.8e-7 to 2e-5 apart
+              | st.builds(lambda c, k, e: _near_double(c, Fraction(k, 10**e)), small_rationals,
+                          st.integers(2, 99), st.integers(12, 14))).filter(lambda q: q[-1])
 
 
 @settings(max_examples=40, deadline=None)
+@example([CR.of(2, 2), CR.of(2, 19), CR.of(-11, -15)], 1)  # Im z near 1855144/24888421
 @given(quadratics, st.sampled_from([1, 2, 3]))
 def test_shifted_irrational_roots_are_accurate_and_share_a_class(q, a):
     # q(z) q(z - a), with q irreducible over the Gaussian rationals: each
-    # root is stored as the rational nearest its refinement, and rounding
-    # commutes with the integer shift
+    # part of a root is stored as the rational nearest it with denominator
+    # at most 10^12 (about 1e-24 from a generic root, but 1.6e-20 from the
+    # example's, whose imaginary part lies beside 1855144/24888421; two such
+    # rationals can tie to 1e-50, as for sqrt 2, so ties within the 2^-128
+    # refinement pass), and rounding commutes with the integer shift
     (factor, _), *rest = _to_sympy(q).factor_list()[1]
     assume(factor.degree() == 2 and not rest)
     roots = bop.polynomial_roots(tuple(_mul(q, _shifted(q, CR.of(-a)))))
@@ -255,9 +270,57 @@ def test_shifted_irrational_roots_are_accurate_and_share_a_class(q, a):
     want += [w + a for w in want]
     for r in roots:
         z = sympy.Rational(str(r.value.re)) + sympy.I * sympy.Rational(str(r.value.im))
-        assert min(abs(sympy.N(z - w, 40)) for w in want) < 1e-20
+        w = min(want, key=lambda w: abs(sympy.N(z - w, 40)))
+        for stored, part in ((r.value.re, sympy.re(w)), (r.value.im, sympy.im(w))):
+            x = Fraction(str(part))
+            nearest = x.limit_denominator(10**12)
+            assert abs(x - stored) <= abs(x - nearest) + Fraction(1, 10**35), (r.value, w)
     classes = {residue_class(r.value) for r in roots}
     assert len(classes) == 2
+
+
+real_factors = st.lists(st.integers(-20, 20), min_size=2, max_size=6).filter(lambda f: f[-1])
+# (z - c)^2 - eps with |eps| from 10^-26 to 10^-12: a real pair (eps > 0) or a conjugate
+# pair (eps < 0) as close as 2e-13 apart, well inside the floats' sqrt(machine eps)
+near_double_factors = st.builds(
+    lambda c, k, e: [x.re * c.denominator ** 2 for x in _near_double(c, Fraction(k, 10**e))],
+    small_rationals, st.integers(-99, 99).filter(bool), st.integers(12, 26))
+
+
+@settings(max_examples=60, deadline=None)
+@example([[-2, 0, 1], [-1 - 2 * 10**20, -2 * 10**20, 10**20]])  # sqrt(2); case 8's factor
+# z (z^2 + 10^-18) ((z - 1)^2 - 2 10^-12): the non-real pair +-10^-9 i lies nearer the
+# axis than the float errors of the real pair 1 +- 1.4e-6
+@example([[0, 1], [Fraction(1, 10**18), 0, 1], [1 - Fraction(2, 10**12), -2, 1]])
+@given(st.lists(real_factors | near_double_factors, min_size=1, max_size=3))
+def test_real_factors_have_exactly_their_real_roots_on_the_axis(factors):
+    # the float root finder puts as many roots of a real square-free factor on
+    # the real axis as it has real roots, and no more
+    z = sympy.Symbol("z")
+    p = [CR.of(1)]
+    for f in factors:
+        p = _mul(p, [CR.of(c) for c in f])
+    for factor, _ in bop._squarefree(bop._primitive(bop._gaussian(p))):
+        real = [b for _, b in factor]
+        real = [a for a, _ in factor] if not any(real) else real
+        want = sympy.Poly(list(reversed(real)), z).count_roots()
+        assert rootfinder.real_root_count(real) == want
+        if len(factor) > 2:
+            values = [v for v, _ in bop._squarefree_roots(factor)]
+            assert sum(v.im == 0 for v in values) == want, factor
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-9, 9), min_size=2, max_size=9).filter(lambda f: f[-1]),
+       st.integers(1, 3))
+def test_sturm_count_agrees_with_sympy(f, power):
+    # distinct real roots, also of a polynomial with repeated factors
+    p = [1]
+    for _ in range(power):
+        p = [sum(p[j] * f[k - j] for j in range(len(p)) if 0 <= k - j < len(f))
+             for k in range(len(p) + len(f) - 1)]
+    want = sympy.Poly(list(reversed(p)), sympy.Symbol("z")).count_roots()
+    assert rootfinder.real_root_count(p) == want
 
 
 def test_indicial_rounds_no_float_into_a_fraction(monkeypatch):

@@ -13,7 +13,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from bcalc import boperators as bop
-from bcalc import cli, serialize, verify
+from bcalc import cli, rootfinder, serialize, verify
 from bcalc import geometry as geo
 from bcalc.cli import main
 from bcalc.errors import (
@@ -259,6 +259,18 @@ def test_op_specb_refuses_a_coefficient_beyond_float_range(tmp_path, capsys):
         assert main(["op", "specb", path]) == 1, c
         captured = capsys.readouterr()
         assert captured.out == "" and len(captured.err.strip().splitlines()) == 1, c
+
+
+def test_op_actions_refuse_a_factor_the_root_finder_cannot_solve(tmp_path, capsys, monkeypatch):
+    # one Aberth sweep cannot converge on z^2 - 2: one line, exit 1
+    monkeypatch.setattr(rootfinder, "ABERTH_SWEEPS", 1)
+    path = write(tmp_path, "op.json", {"coeffs": [["-2"], ["0"], ["1"]]})
+    for argv in (["op", "specb", path], ["op", "split", path, "--gamma", "0"]):
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1, argv
+        assert "the float root finder did not converge on the degree-2 indicial factor" in (
+            captured.err), argv
 
 
 def test_op_actions_refuse_an_indicial_polynomial_beyond_its_budget(tmp_path, capsys):
@@ -664,6 +676,9 @@ def test_each_action_loads_only_its_layer(tmp_path):
     pi2 = write(tmp_path, "pi2.json", geo.lifted_projection(2))
     desc = write(tmp_path, "desc.json", bop.FullCalcDescriptor(-1.0, EMPTY, SMOOTH.shift(1)))
     op = write(tmp_path, "op.json", bop.BDiffOp.from_lists([[1], [1]]))
+    sqrt2 = write(tmp_path, "sqrt2.json", bop.BDiffOp.from_lists([[-2], [0], [1]]))
+    # z^2 + i z + 1: roots (-1 +- sqrt 5) i / 2, irrational with complex coefficients
+    cquad = write(tmp_path, "cquad.json", {"coeffs": [["1"], [{"re": "0", "im": "1"}], ["1"]]})
     child = """
 import contextlib, io, json, sys
 argv = json.loads(sys.argv[1])
@@ -704,6 +719,9 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "bca
     # a first-order operator's root is exact, so no root finder runs
     assert loads("op", "compose", desc, desc) == core | {"boperators"}
     assert loads("op", "specb", op) == core | {"boperators"}
+    # nor does the float root finder of a quadratic factor, real or complex
+    assert loads("op", "specb", sqrt2) == core | {"boperators", "rootfinder"}
+    assert loads("op", "specb", cquad) == core | {"boperators", "rootfinder"}
     # the apply check crunches floats with NumPy, and loads no SciPy
     assert loads("op", "apply-check", op, numpy=True) == core | {"boperators", "numeric"}
     # the acceptance suite's layers, numeric among them, are records too

@@ -279,6 +279,26 @@ def test_fit_refuses_non_finite_samples(bad):
         num.fit_expansion(grid, data, SMOOTH, 2)
 
 
+@pytest.mark.parametrize("bad", [0.0, -0.1, math.nan, math.inf, -math.inf])
+def test_fit_refuses_a_grid_point_that_is_not_finite_and_positive(bad, capfd):
+    # these ended in LinAlgError from the decay check, with LAPACK lines on stderr
+    grid = num.geometric_grid(0.5, 0.9, 30)
+    data = 1.0 + grid
+    grid[3] = bad
+    grid[9] = -1.0
+    with pytest.raises(ValueError, match=r"^grid point at index 3 is not finite and positive$"):
+        num.fit_expansion(grid, data, SMOOTH, 2)
+    assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("n_samples", [29, 31])
+def test_fit_refuses_grid_and_samples_of_different_lengths(n_samples):
+    grid = num.geometric_grid(0.5, 0.9, 30)
+    data = 1.0 + num.geometric_grid(0.5, 0.9, n_samples)
+    with pytest.raises(ValueError, match=rf"^30 grid points but {n_samples} samples$"):
+        num.fit_expansion(grid, data, SMOOTH, 2)
+
+
 def test_fit_reads_the_case_3_coefficient_to_the_float_floor():
     # hypot(x, y) pushes forward with x^2 log x coefficient -1/2; a 50-digit
     # least-squares solve on these float samples reads it to 1.5e-9
