@@ -183,6 +183,16 @@ def _scaled_horner(factor, w, bits):
     return f, df
 
 
+def _vanishes_at(factor, w, d):
+    """Whether factor(w / d) = 0: the Horner sum of c_k w^k d^(n-k) over the
+    Gaussian integers, d nonzero."""
+    f, scale = factor[-1], (1, 0)
+    for c in reversed(factor[:-1]):
+        scale = _gmul(scale, d)
+        f = _gadd(_gmul(f, w), _gmul(c, scale))
+    return f == (0, 0)
+
+
 def _exact_ratio(factor, z):
     """factor(z) / factor'(z) at the float z, from exact Horner sums over the
     Gaussian integers, rounded once per part."""
@@ -258,8 +268,7 @@ def _squarefree_roots(factor):
         z, bits = _refine(factor, r, radius)
         w = _gquo(_gmul(lead, z), (1 << bits, 0))
         cand = ComplexRational.of(*w) / a_n
-        # the factor vanishes at w / a_n iff the linear a_n t - w divides it
-        if abs(cand.as_complex() - r) < radius and not _prem(factor, ((-w[0], -w[1]), lead)):
+        if abs(cand.as_complex() - r) < radius and _vanishes_at(factor, w, lead):
             out.append((cand, True))
         else:
             scale = 1 << bits
@@ -586,9 +595,12 @@ class ApplyCheckReport(Record):
 
 
 #: Largest log-x step of ``apply_check``'s grid.  The residual is the
-#: truncation error of the sixth-order stencil, which scales as step^6: for
-#: case 9 it reads 5.2e-7 at 0.003, 5.7e-8 at 0.002 and 1.1e-8 here.
-_LOG_STEP = 0.0015
+#: truncation error of ``numeric``'s twelfth-order stencil; for case 9 (the
+#: default support, 1,244 points here):
+#:
+#:     step      0.004    0.003    0.0025   0.002    0.0015   0.001
+#:     residual  3.9e-7   4.2e-8   1.1e-8   1.6e-9   1.3e-10  2.4e-12
+_LOG_STEP = 0.002
 #: Gauss-Legendre nodes on each side of the kernel jump x' = x; u = Kv
 #: matches adaptive quadrature at tolerance 1e-14 to about 1e-14 relative.
 _NODES = 200
@@ -597,8 +609,9 @@ _NODES = 200
 #: peak RSS of the benchmark's oracle ops by about 0.7 MB.
 _BLOCK = 8
 #: Most grid points ``apply_check`` will integrate at: it refuses b/a above
-#: about 2.7e12.  The default support (1, 3) needs 1,658.
-_GRID_BUDGET = 20_000
+#: about 2.67e12, as 20,000 points at step 0.0015 did.  The default support
+#: (1, 3) needs 1,244.
+_GRID_BUDGET = 15_000
 
 
 def _kernel_side(kernel: ModelKernel, side: str):
@@ -658,21 +671,26 @@ def apply_check(op: BDiffOp, kernel: ModelKernel, v: Callable, support: tuple) -
     """Check numerically that the kernel inverts a constant-coefficient operator.
 
     Computes u = Kv on a geometric grid over [a/2, 2b], applies the operator
-    by sixth-order log-grid stencils, and reports the maximum deviation from
+    by twelfth-order log-grid stencils, and reports the maximum deviation from
     v on the trimmed grid, with the cost.  v takes an ndarray of points and
     returns an ndarray of values, or one scalar for all of them (as
     ``numeric.smooth_bump`` and ``lambda t: 0.0`` do).  u is fixed-order
     Gauss-Legendre (``_apply_kernel``), so no SciPy is loaded.  The log step
     is at most ``_LOG_STEP``, where the residual is the stencil's truncation
-    error (about 1e-8 for case 9), not the quadrature's.  A support that
-    needs more than ``_GRID_BUDGET`` grid points (b/a above about 2.7e12) is
-    refused with ``ValueError`` before any is built.  Like the rest of the
-    numeric oracle the check is real-only: an operator with a non-real
-    coefficient is refused with ``ValueError``, since ``ModelKernel.evaluate``
-    keeps only the real part of the kernel.  An operator coefficient, kernel
-    exponent or kernel coefficient beyond the float range is refused with
-    ``ValueError`` as well, and a kernel that overflows the float range on
-    the grid raises ``QuadratureError``.
+    error (about 1.6e-9 for case 9), not the quadrature's.  Repeated
+    differencing amplifies rounding like eps / step^order, which limits the
+    operator order the check can judge: order x 1e-6 bounds the residual up
+    to order 3 (at most 1.9e-8 measured), at order 4 only on some operators
+    ((z+1)...(z+4) reads 1.6e-6, (z+1/2)(z+1)(z+3/2)(z+2) 1.3e-5), and not
+    at order 5 ((z+1/2)(z+1)...(z+5/2) reads 1.1e-2), all at gamma = 0.
+    A support that needs more than ``_GRID_BUDGET`` grid points
+    (b/a above about 2.67e12) is refused with ``ValueError`` before any is
+    built.  Like the rest of the numeric oracle the check is real-only: an
+    operator with a non-real coefficient is refused with ``ValueError``,
+    since ``ModelKernel.evaluate`` keeps only the real part of the kernel.
+    An operator coefficient, kernel exponent or kernel coefficient beyond
+    the float range is refused with ``ValueError`` as well, and a kernel
+    that overflows the float range on the grid raises ``QuadratureError``.
     """
     import numpy as np
 
@@ -868,8 +886,6 @@ def hs_front_face_criterion(p: Callable[[float, float], float], support_c: float
     refused with ``ValueError``.  ``spec`` defaults to tolerances 1e-9 with
     subdivision limit 200.
     """
-    import numpy as np
-
     from . import numeric as num
 
     if spec is None:
@@ -892,5 +908,5 @@ def hs_front_face_criterion(p: Callable[[float, float], float], support_c: float
     for e_prev, e_next in zip(eps_list, eps_list[1:]):
         total += num.integrate(lambda x: inner(x) / x, e_next, e_prev, spec)
         norms.append(total)
-    slope, _ = np.polyfit([math.log(1.0 / e) for e in eps_list], norms, 1)
-    return HsReport(float(slope), inner(0.0), tuple(eps_list), tuple(norms))
+    slope = num.line_slope([math.log(1.0 / e) for e in eps_list], norms)
+    return HsReport(slope, inner(0.0), tuple(eps_list), tuple(norms))

@@ -300,6 +300,15 @@ _DECAY_SUBGRID = 20  # smallest-x points whose residual must decay
 _DECAY_FLOOR = 1e-7  # relative residual below which decay is not checked
 
 
+def line_slope(t, y) -> float:
+    """The least-squares slope of y against t, sum (t - mean t)(y - mean y) /
+    sum (t - mean t)^2, by row sums (``np.polyfit``'s LAPACK solve adds
+    about 0.12 MB of peak RSS on its first call)."""
+    t, y = np.asarray(t, dtype=float), np.asarray(y, dtype=float)
+    dt = t - t.mean()
+    return float((dt * (y - y.mean())).sum() / (dt * dt).sum())
+
+
 def _qr_solve(q, r, v):
     """R^-1 Q^T v by back substitution (``np.linalg.solve`` adds 0.4 MB of peak RSS)."""
     y, c = q.T @ v, np.zeros(r.shape[1])
@@ -386,7 +395,7 @@ def fit_expansion(x, values, candidate: IndexSet, cutoff) -> PhgExpansion:
         floor = 1e-13 * scale
         usable = small[np.abs(resid[small]) > floor]
         if len(usable) >= 5:
-            slope, _ = np.polyfit(np.log(x[usable]), np.log(np.abs(resid[usable])), 1)
+            slope = line_slope(np.log(x[usable]), np.log(np.abs(resid[usable])))
             required = _next_exponent_after(candidate, cutoff)
             if slope < required - 0.6:
                 raise FitRejection(
@@ -524,22 +533,38 @@ def _log_step(x_grid: np.ndarray) -> float:
     return float(steps[0])
 
 
+#: Half-width of ``_dlog``'s stencil, and its weights w_1..w_6: the
+#: twelfth-order central first derivative h f'(t) = sum_k w_k (f(t + kh) -
+#: f(t - kh)) + O(h^13), w_k = (-1)^(k+1) (6!)^2 / (k (6-k)! (6+k)!)
+#: (Fornberg, Math. Comp. 51, 1988), each an int ratio rounded once.
+_HALF_WIDTH = 6
+_WEIGHTS = tuple(
+    (-1) ** (k + 1) * math.factorial(_HALF_WIDTH) ** 2
+    / (k * math.factorial(_HALF_WIDTH - k) * math.factorial(_HALF_WIDTH + k))
+    for k in range(1, _HALF_WIDTH + 1)
+)
+
+
 def _dlog(values: np.ndarray, h: float) -> np.ndarray:
-    """Sixth-order central first derivative in log x; trims 3 points per side."""
-    v = values
-    return (
-        -v[:-6] + 9.0 * v[1:-5] - 45.0 * v[2:-4] + 45.0 * v[4:-2] - 9.0 * v[5:-1] + v[6:]
-    ) / (60.0 * h)
+    """Twelfth-order central first derivative in log x; trims ``_HALF_WIDTH``
+    points per side."""
+    n, r = len(values), _HALF_WIDTH
+    total = np.zeros(n - 2 * r)
+    for k in range(r, 0, -1):  # the small outer weights first
+        total += _WEIGHTS[k - 1] * (values[r + k: n - r + k] - values[r - k: n - r - k])
+    return total / h
 
 
 def apply_bop_numeric(op, values, x_grid):
     """Apply sum_j a_j(x) (x d/dx)^j by stencils on a geometric grid.
 
     x d/dx is d/d(log x), so the stencil is translation invariant on the
-    grid.  Returns (trimmed grid, result); 3*order points are lost per side.
-    Warns when the log spacing is too coarse for the stencil order.  Like
-    the rest of the numeric oracle it is real-only: an operator with a
-    non-real coefficient is refused with ``ValueError``.
+    grid.  Returns (trimmed grid, result); ``_HALF_WIDTH`` * order points
+    are lost per side.  Warns when the log spacing is too coarse for the
+    stencil.  Repeated differencing amplifies rounding like eps / h^order,
+    which limits the order ``boperators.apply_check`` can judge.  Like the
+    rest of the numeric oracle it is real-only: an operator with a non-real
+    coefficient is refused with ``ValueError``.
     """
     if not all(c.is_real for s in op.coeffs for c in s):
         raise ValueError("apply_bop_numeric expects real coefficients")
@@ -552,14 +577,14 @@ def apply_bop_numeric(op, values, x_grid):
             stacklevel=2,
         )
     m = op.order
-    trim = 3 * m
+    trim = _HALF_WIDTH * m
     if trim * 2 + 7 > len(values):
         raise ValueError("grid too short for the stencil width")
     x_out = x_grid[trim: len(x_grid) - trim] if trim else x_grid
     total = np.zeros(len(x_out))
     d = values
     for j in range(m + 1):
-        pad = trim - 3 * j
+        pad = trim - _HALF_WIDTH * j
         aligned = d[pad: len(d) - pad] if pad else d
         coeff = np.zeros(x_out.shape)  # a_j(x) by Horner
         for c in reversed(op.coeffs[j]):

@@ -80,7 +80,7 @@ def case_pushforward_numeric():
     tail = samples.values - partial
     resolved = np.abs(tail) > 1e-12  # above quadrature/float noise
     assert np.count_nonzero(resolved) >= 10
-    slope, _ = np.polyfit(np.log(grid[resolved]), np.log(np.abs(tail[resolved])), 1)
+    slope = num.line_slope(np.log(grid[resolved]), np.log(np.abs(tail[resolved])))
     assert 3.4 <= slope <= 4.6, f"tail decay exponent {slope}"
     return (
         f"x^2 log x coefficient -1/2 off by {off:.2g} (bound 1e-06), closed form to {gap:.2g}, "

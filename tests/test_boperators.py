@@ -659,17 +659,29 @@ def test_apply_check_separates_a_kernel_off_by_one_part_in_ten_million():
     exact = bop.apply_check(op, kernel, v, (1.0, 3.0))
     assert exact.max_residual < 2e-8
     assert bop.apply_check(op, scaled, v, (1.0, 3.0)).max_residual > 5e-8
-    assert (exact.grid_points, exact.nodes) == (1658, 200)
-    assert exact.log_step == pytest.approx(math.log(12.0) / 1657) and exact.log_step <= 0.0015
+    assert (exact.grid_points, exact.nodes) == (1244, 200)
+    assert exact.log_step == pytest.approx(math.log(12.0) / 1243) and exact.log_step <= 0.002
+
+
+def test_apply_check_separates_a_kernel_off_by_one_part_in_a_hundred_million():
+    # the sixth-order stencil read 1.103e-8 for both kernels
+    op = op_from([1], [1])
+    kernel = bop.model_inverse(bop.indicial(op), 0)
+    (term,) = kernel.terms
+    scaled = bop.ModelKernel((bop.KernelTerm(
+        term.z, term.p, term.side, term.coeff * CR.of(1 + Fraction(1, 10 ** 8))),))
+    v = num.smooth_bump(2.0, 1.0)
+    assert bop.apply_check(op, kernel, v, (1.0, 3.0)).max_residual < 2e-9
+    assert bop.apply_check(op, scaled, v, (1.0, 3.0)).max_residual > 8e-9
 
 
 def test_apply_check_budget_refuses_the_supports_it_always_refused():
-    # b/a above about 2.7e12 needs more than _GRID_BUDGET points at log step 0.0015
+    # b/a above about 2.67e12 needs more than _GRID_BUDGET points at log step 0.002
     op = op_from([1], [1])
     kernel = bop.model_inverse(bop.indicial(op), 0)
     report = bop.apply_check(op, kernel, lambda t: 0.0, (1.0, 2e12))
-    assert report.max_residual == 0.0 and report.grid_points == 19808
-    with pytest.raises(ValueError, match="budget of 20000 grid points"):
+    assert report.max_residual == 0.0 and report.grid_points == 14857
+    with pytest.raises(ValueError, match="budget of 15000 grid points"):
         bop.apply_check(op, kernel, lambda t: 0.0, (1.0, 3e12))
 
 

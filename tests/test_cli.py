@@ -445,11 +445,11 @@ def test_op_apply_check(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     assert report["max_residual"] < 1e-7
-    # the cost: the default support 1 3 needs 1,658 points of the log grid
-    assert (report["grid_points"], report["nodes"]) == (1658, 200)
-    assert 0.0014 < report["log_step"] <= 0.0015
+    # the cost: the default support 1 3 needs 1,244 points of the log grid
+    assert (report["grid_points"], report["nodes"]) == (1244, 200)
+    assert 0.0019 < report["log_step"] <= 0.002
     code, out = run(capsys, "op", "apply-check", op)
-    assert code == 0 and out.startswith("max residual of P(Kv) - v: 1.10")
+    assert code == 0 and out.startswith("max residual of P(Kv) - v: 1.56")
     assert len(out.splitlines()) == 1
 
 
