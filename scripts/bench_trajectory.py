@@ -11,7 +11,11 @@ writes:
   metrics, the printed-only ones (``run_s``, ``fail_frac``, ...) and the
   largest margin of each acceptance check;
 * per workload, the median over seeds of each gated metric, of ``run_s``
-  and of each per-layer metric.
+  and of each per-layer metric;
+* ``cold_start``: per subcommand in ``COLD_START``, the median wall time of
+  ``COLD_REPEATS`` fresh ``python -m bcalc`` runs without bytecode caches
+  (``PYTHONDONTWRITEBYTECODE=1``, as the benchmark runs), and the wall time
+  of one tier-1 pytest run (``pytest_s``).
 
 Usage: ``python3 scripts/bench_trajectory.py --out FILE.json``.
 """
@@ -25,6 +29,8 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from importlib.metadata import version
 from pathlib import Path
 
@@ -34,6 +40,17 @@ SEEDS = (21, 22, 23)
 GATED = ("setup_s", "margin_max", "peak_rss_mb")
 PRINTED = re.compile(r"^  (run_s|op_p50_ms|op_tail_ms|verify_s|fail_frac) +(\S+)")
 MARGIN = re.compile(r"^ +(\S+)  (\S+) / (\S+)  (.+?)(  \[known defect\])?$")
+COLD_REPEATS = 7
+# argv per subcommand; SMOOTH and OP stand for an index-set file and z + 1's operator file
+COLD_START = {
+    "--help": ["--help"],
+    "space triple": ["space", "triple"],
+    "indexset extunion": ["indexset", "extunion", "SMOOTH", "SMOOTH"],
+    "op specb": ["op", "specb", "OP"],
+    "op apply-check": ["op", "apply-check", "OP"],
+    "op hs": ["op", "hs"],
+    "verify --suite all": ["verify", "--suite", "all"],
+}
 
 
 def run(workload: str, seed: int, seconds: float, trace: int, root: Path = ROOT) -> dict:
@@ -54,6 +71,30 @@ def run(workload: str, seed: int, seconds: float, trace: int, root: Path = ROOT)
             m[4]: {"measured": float(m[2]), "bound": float(m[3]), "known_defect": bool(m[5])}
             for m in map(MARGIN.match, lines[start + 1:-1]) if m}
     return record
+
+
+def _wall(argv, env, root) -> float:
+    start = time.perf_counter()
+    subprocess.run(argv, cwd=root, env=env, capture_output=True, check=True)
+    return time.perf_counter() - start
+
+
+def cold_start(root: Path = ROOT) -> dict:
+    """Seconds per subcommand of ``COLD_START`` (the median of
+    ``COLD_REPEATS`` fresh runs) and of one tier-1 pytest run, without
+    bytecode caches, in the tree at ``root``."""
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": str(root / "src")}
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {"SMOOTH": Path(tmp, "smooth.json"), "OP": Path(tmp, "op.json")}
+        files["SMOOTH"].write_text(json.dumps({"generators": [{"re": "0", "im": "0", "p": 0}]}))
+        files["OP"].write_text(json.dumps({"coeffs": [["1"], ["1"]]}))
+        for name, argv in COLD_START.items():
+            argv = [sys.executable, "-m", "bcalc", *(str(files.get(a, a)) for a in argv)]
+            out[name] = statistics.median(_wall(argv, env, root) for _ in range(COLD_REPEATS))
+    out["pytest_s"] = _wall([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                             "--continue-on-collection-errors"], env, root)
+    return out
 
 
 def machine() -> dict:
@@ -85,6 +126,8 @@ def main(argv=None) -> int:
                           for name in traced[0]["metrics"]},
             "runs": runs,
         }
+    print("cold start", file=sys.stderr, flush=True)
+    point["cold_start"] = cold_start()
     Path(args.out).write_text(json.dumps(point, indent=1, sort_keys=True) + "\n")
     return 0
 

@@ -5,7 +5,10 @@ calculus operations and print deterministic text or JSON reports.
 ``_ACTIONS`` is the one declaration of what each action takes: its
 handler, the kind of each file it reads, and the flags it reads.  The
 parser is built from it, so a wrong number of files or a flag the action
-does not read is a usage error; ``--json`` is accepted anywhere.
+does not read is a usage error; ``--json`` is accepted anywhere.  ``main``
+builds the action leaves of the one command it runs (the first word of the
+command line, since no top-level option takes a value); ``--help`` and
+usage errors read the same as from the full parser, ``build_parser()``.
 Each action loads only the layer it runs, by one rule: this module imports
 nothing of bcalc but ``errors`` at the top, and whatever runs a layer
 imports it in its body and calls it through the module.  So a handler
@@ -14,19 +17,18 @@ imports ``indexsets`` for ``indexset complete`` (through this module's
 ``map``, ``transport`` for ``transport`` and ``boperators`` for ``op``;
 ``main`` imports ``serialize`` only when the action reads files, and a
 rational flag, whose string default parses too, imports ``rationals``.
-NumPy loads only where floats are crunched: ``apply-check``, ``hs`` and
-``verify`` import ``numeric`` inside their handlers; the float root finder
-an ``op`` action runs on an indicial factor of degree two or more is pure
-Python.
+``json`` loads only to write ``--json`` output or to read files (through
+``serialize``).  NumPy loads only where floats are crunched:
+``apply-check``, ``hs`` and ``verify`` import ``numeric`` inside their
+handlers, and only ``verify`` runs QUADPACK and so loads SciPy; the float
+root finder an ``op`` action runs on an indicial factor of degree two or
+more is pure Python.
 Exit codes: 0 success, 1 malformed input (unreadable files or flags, usage
 errors), 2 violated theorem hypothesis (integrability, b-fibration,
 composition condition, inadmissible weight), 3 numeric failure (quadrature,
 conditioning or fit rejection).
 """
-from __future__ import annotations
-
 import argparse
-import json
 import re
 import sys
 
@@ -45,6 +47,8 @@ def _round_floats(obj):
 
 def _emit(args, payload, text_lines):
     if args.json:
+        import json
+
         print(json.dumps(_round_floats(payload), sort_keys=True, indent=2))
     else:
         for line in text_lines:
@@ -305,10 +309,8 @@ def _op_hs(args):
         "x-bump": lambda x, s: x * bump(s),
         "zero": lambda x, s: 0.0,
     }
-    report = bop.hs_front_face_criterion(
-        kernels[args.kernel], args.support_c, args.eps,
-        spec=num.QuadratureSpec(args.tol, args.tol, 200),
-    )
+    report = bop.hs_front_face_criterion(kernels[args.kernel], args.support_c, args.eps,
+                                         s_support=(0.5, 1.5))
     lines = [
         f"log(1/eps) slope: {report.slope:.12g}",
         f"front-face squared norm: {report.reference:.12g}",
@@ -370,7 +372,6 @@ _FLAGS = {
     # argparse runs a string default through ``type``: these parse to Fractions
     "--truncate": dict(type=_rational, default="10",
                        help="Re z bound for printed truncations (default 10)"),
-    "--tol": dict(type=float, default=1e-8, help="quadrature tolerance (default 1e-8)"),
     "--gamma": dict(type=_rational, default="0", help="weight parameter (rational)"),
     "--steps": dict(type=int, default=1, help="parametrix iteration count"),
     "--support": dict(type=float, nargs=2, default=(1.0, 3.0), help="test-function support"),
@@ -426,7 +427,7 @@ _ACTIONS = {
     ("op", "compose"): (_op_compose, (_DESC, _DESC), ()),
     ("op", "action"): (_op_action, (_DESC, _SET), ("--truncate",)),
     ("op", "parametrix"): (_op_parametrix, (_OP,), ("--gamma", "--steps")),
-    ("op", "hs"): (_op_hs, (), ("--kernel", "--support-c", "--eps", "--tol")),
+    ("op", "hs"): (_op_hs, (), ("--kernel", "--support-c", "--eps")),
     ("verify", None): (_verify, (), ("--suite",)),
 }
 
@@ -437,20 +438,23 @@ def _json_flag(parser, default=argparse.SUPPRESS) -> None:
                         help="machine-readable output")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of every command, with the action leaves of ``command``
+    alone when one is named (of every command when it is None)."""
     parser = _Parser(prog="bcalc", description="index-set calculus with numeric cross-checks")
     _json_flag(parser, default=False)
     commands = parser.add_subparsers(dest="command", required=True)
+    parents = {name: commands.add_parser(name, help=text) for name, text in _COMMANDS.items()}
     actions = {}
-    for (command, action), (handler, kinds, flags) in _ACTIONS.items():
-        if action is None:
-            leaf = commands.add_parser(command, help=_COMMANDS[command])
-        else:
-            if command not in actions:
-                p = commands.add_parser(command, help=_COMMANDS[command])
-                _json_flag(p)
-                actions[command] = p.add_subparsers(dest="action", required=True)
-            leaf = actions[command].add_parser(action)
+    for (name, action), (handler, kinds, flags) in _ACTIONS.items():
+        if command not in (None, name):
+            continue
+        leaf = parents[name]
+        if action is not None:
+            if name not in actions:
+                _json_flag(leaf)
+                actions[name] = leaf.add_subparsers(dest="action", required=True)
+            leaf = actions[name].add_parser(action)
         if kinds:
             leaf.add_argument("files", nargs=len(kinds), metavar="FILE")
         for flag in flags:
@@ -461,8 +465,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # no top-level option takes a value, so the first word is the command
+    args = build_parser(next((a for a in argv if not a.startswith("-")), None)).parse_args(argv)
     try:
         objects = []
         if args.files:
@@ -472,8 +477,10 @@ def main(argv=None) -> int:
                        for path, kind in zip(args.files, args.kinds)]
         payload, lines, code = args.handler(args, *objects)
     except HypothesisViolation as exc:
-        msg = {"error": type(exc).__name__, "message": str(exc)}
         if args.json:
+            import json
+
+            msg = {"error": type(exc).__name__, "message": str(exc)}
             print(json.dumps(msg, sort_keys=True, indent=2))
         else:
             print(f"hypothesis violated: {exc}", file=sys.stderr)

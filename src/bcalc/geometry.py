@@ -13,8 +13,6 @@ Whether a map fibers over open faces cannot be decided from the matrix, so
 descriptors carry an asserted ``fibration_on_faces`` flag; built-in maps set
 it from inspection, user-defined maps default to False.
 """
-from __future__ import annotations
-
 import itertools
 from functools import lru_cache
 
@@ -66,9 +64,6 @@ class FaceLattice(Record):
         _set(self, "dimension", dimension)
         _set(self, "bhs_names", bhs_names)
         _set(self, "faces", faces)
-
-    def is_face(self, names) -> bool:
-        return _face(names) in self.faces
 
     def codim(self, names) -> int:
         face = _face(names)

@@ -31,8 +31,8 @@ from .records import Record, _set
 class QuadratureSpec(Record):
     """Adaptive-subdivision quadrature contract (backed by scipy's QUADPACK).
 
-    ``boperators.apply_check`` takes none: it integrates by fixed-order
-    Gauss-Legendre, whose error sits far below its stencil's.
+    ``boperators.apply_check`` and ``hs_front_face_criterion`` take none:
+    they integrate by fixed-order Gauss-Legendre (``gauss_legendre``).
     """
 
     __slots__ = ("abs_tol", "rel_tol", "max_depth")
@@ -460,16 +460,6 @@ def solve_model_ode(c, v: Callable[[float], float], x_grid,
         acc += integrate(g, x_grid[i - 1], x_grid[i], spec)
         out[i] = acc
     return out * x_grid ** (-cf)
-
-
-class KernelWindow(Record):
-    """A plain callable kernel with explicit support, for convolution tests."""
-
-    __slots__ = ("fn", "support")
-
-    def evaluate(self, s: float) -> float:
-        lo, hi = self.support
-        return self.fn(s) if lo < s < hi else 0.0
 
 
 class ConvolutionResult(NamedTuple):

@@ -808,11 +808,13 @@ def test_parametrix_never_reaches_the_composition_threshold(roots, k, steps):
 # -- front-face criterion ----------------------------------------------------------------
 
 
+#: The bump's squared front-face norm, int_{1/2}^{3/2} bump(s)^2 ds/s, by mpmath at 30 digits.
+HS_BUMP = 0.50682472638052931
+
+
 def test_hs_zero_kernel():
-    report = bop.hs_front_face_criterion(
-        lambda x, s: 0.0, 4.0, 1e-3,
-        spec=num.QuadratureSpec(1e-8, 1e-8, 100),
-    )
+    # a scalar kernel value stands for every point of the grid
+    report = bop.hs_front_face_criterion(lambda x, s: 0.0, 4.0, 1e-3)
     assert report.slope == pytest.approx(0.0, abs=1e-12)
     assert report.reference == pytest.approx(0.0, abs=1e-12)
     assert all(n == pytest.approx(0.0, abs=1e-12) for n in report.norms)
@@ -820,12 +822,61 @@ def test_hs_zero_kernel():
 
 def test_hs_vanishing_restriction_has_bounded_norm():
     bump = num.smooth_bump(1.0, 0.5)
-    report = bop.hs_front_face_criterion(
-        lambda x, s: x * bump(s), 4.0, 1e-2,
-        spec=num.QuadratureSpec(1e-9, 1e-9, 200),
-    )
+    report = bop.hs_front_face_criterion(lambda x, s: x * bump(s), 4.0, 1e-2)
     assert abs(report.slope) < 1e-4
     assert report.reference == pytest.approx(0.0, abs=1e-12)
+
+
+def test_hs_slopes_match_the_front_face_integrals():
+    bump = num.smooth_bump(1.0, 0.5)
+    # over [1/C, C], the bump's C^infinity edges inside the pieces
+    report = bop.hs_front_face_criterion(lambda x, s: bump(s), 4.0, 1e-3)
+    assert abs(report.slope - HS_BUMP) < 1e-13
+    assert abs(report.reference - HS_BUMP) < 1e-13
+    for c in (4.0, 1e3, 1e10):
+        report = bop.hs_front_face_criterion(lambda x, s: bump(s), c, 1e-3, s_support=(0.5, 1.5))
+        assert abs(report.slope - HS_BUMP) < 1e-13, c
+    # x * bump: the norms' increments vanish like eps^2, and QUADPACK read the
+    # slope of their regression as 3.3125587e-8
+    for kwargs in ({}, {"s_support": (0.5, 1.5)}):
+        report = bop.hs_front_face_criterion(lambda x, s: x * bump(s), 4.0, 1e-3, **kwargs)
+        assert report.slope == pytest.approx(3.3125587e-8, rel=1e-5), kwargs
+
+
+def test_acceptance_case_12_reads_the_bump_slope_to_rounding(monkeypatch):
+    from bcalc import verify
+
+    reports, probe = [], bop.hs_front_face_criterion
+    monkeypatch.setattr(bop, "hs_front_face_criterion",
+                        lambda *args: reports.append(probe(*args)) or reports[-1])
+    verify.case_front_face_criterion()
+    vanishing, bump = reports
+    assert abs(bump.slope - HS_BUMP) < 1e-13
+    assert vanishing.slope == pytest.approx(3.3125587e-8, rel=1e-5)
+
+
+def test_hs_calls_the_kernel_on_blocks_of_x():
+    bump = num.smooth_bump(1.0, 0.5)
+    for kwargs, s_nodes in (({}, 2 * bop._HS_NODES), ({"s_support": (0.5, 1.5)}, bop._HS_SUPPORT_NODES)):
+        shapes = []
+
+        def kernel(x, s):
+            shapes.append(np.broadcast(x, s).shape)
+            return x * bump(s)
+
+        bop.hs_front_face_criterion(kernel, 4.0, 1e-3, **kwargs)
+        # an (x column) x (s row) grid, at most _HS_BLOCK x values to a call
+        assert all(len(shape) == 2 and shape[1] == s_nodes for shape in shapes), kwargs
+        assert max(shape[0] for shape in shapes) == bop._HS_BLOCK <= 32, kwargs
+
+
+def test_hs_refuses_what_it_cannot_integrate():
+    with pytest.raises(QuadratureError):
+        bop.hs_front_face_criterion(lambda x, s: np.nan * s, 4.0, 1e-3)
+    for c, eps, support in ((1.0, 0.5, None), (0.5, 1e-3, None), (4.0, 4.0, None),
+                            (1e11, 1e-3, None), (4.0, 1e-3, (5.0, 6.0)), (4.0, 1e-3, (1.0, 1.0))):
+        with pytest.raises(ValueError):
+            bop.hs_front_face_criterion(lambda x, s: 0.0, c, eps, s_support=support)
 
 
 def test_polynomial_roots_admits_a_quadratic_with_4000_digit_coefficients():

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -365,7 +366,13 @@ def test_op_hs_samples_the_kernel_for_a_wide_support(capsys):
     data = json.loads(out)
     assert abs(data["reference"] - 0.506824726381) < 1e-9
     assert abs(data["slope"] - 0.506824726381) < 1e-9
-    for c in ("1e11", "1e308"):
+    # unrounded, the slope is the mpmath value 0.50682472638052931 to rounding
+    for c in ("4", "1e3", "1e10"):
+        payload, _, code = cli._op_hs(cli.build_parser("op").parse_args(["op", "hs", "--support-c", c]))
+        assert code == 0 and abs(payload["slope"] - 0.50682472638052931) < 1e-13, c
+    # beyond 1e10 the x-bump norms swamp their increments; at C <= 1 the
+    # kernel's s-range [1/C, C] is empty
+    for c in ("1e11", "1e308", "1", "0.5"):
         assert main(["op", "hs", "--support-c", c]) == 1, c
         captured = capsys.readouterr()
         assert captured.out == "" and len(captured.err.strip().splitlines()) == 1, c
@@ -454,7 +461,7 @@ def test_op_apply_check(tmp_path, capsys):
 
 
 def test_op_apply_check_takes_no_tolerance(tmp_path, capsys):
-    # the residual is the stencil's, not a quadrature's: only op hs takes --tol
+    # the residual is the stencil's, not a quadrature's: no action takes --tol
     op = write(tmp_path, "op.json", bop.BDiffOp.from_lists([[1], [1]]))
     assert exit_code(["op", "apply-check", op, "--tol", "1e-9"]) == 1
     captured = capsys.readouterr()
@@ -463,9 +470,14 @@ def test_op_apply_check_takes_no_tolerance(tmp_path, capsys):
 
 
 def test_op_hs_zero_kernel(capsys):
-    code, out = run(capsys, "--json", "op", "hs", "--kernel", "zero", "--tol", "1e-6")
+    code, out = run(capsys, "--json", "op", "hs", "--kernel", "zero")
     assert code == 0
     assert json.loads(out)["slope"] == 0.0
+    # fixed-order Gauss-Legendre takes no tolerance
+    assert exit_code(["op", "hs", "--kernel", "zero", "--tol", "1e-6"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--tol" in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
 
 
 def test_op_parametrix(tmp_path, capsys):
@@ -563,13 +575,13 @@ def test_malformed_input_is_exit_1(tmp_path, capsys):
         assert len(captured.err.strip().splitlines()) == 1, name
     op = write(tmp_path, "op.json", bop.BDiffOp.from_lists([[1], [1]]))
     # numeric flags out of range, refused before any quadrature: a support
-    # wider than the grid budget, a cutoff outside (0, support_c), a tolerance
-    # that is not finite and positive, more Neumann steps than the budget
+    # wider than the grid budget, a cutoff outside (0, support_c), a support_c
+    # of at most 1, more Neumann steps than the budget
     numeric_flags = [["op", "apply-check", op, "--support", *support] for support in (
         ["0", "1"], ["3", "1"], ["1", "1"], ["1", "inf"], ["1e-300", "1e300"], ["1e-100", "1e100"])]
     numeric_flags += [["op", "hs", *flag] for flag in (
         ["--eps", "nan"], ["--eps", "0"], ["--eps", "-1"], ["--eps", "4"],
-        ["--tol", "nan"], ["--tol", "inf"], ["--tol", "0"])]
+        ["--support-c", "1", "--eps", "0.5"], ["--support-c", "nan"], ["--support-c", "0"])]
     numeric_flags += [["op", "parametrix", op, "--steps", "1000000"]]
     # coefficients, roots or kernel coefficients beyond the float range
     for i, coeffs in enumerate(([["1e400"], ["1"]], [["1"], ["1e-400"]])):
@@ -679,9 +691,10 @@ def test_each_action_loads_only_its_layer(tmp_path):
     sqrt2 = write(tmp_path, "sqrt2.json", bop.BDiffOp.from_lists([[-2], [0], [1]]))
     # z^2 + i z + 1: roots (-1 +- sqrt 5) i / 2, irrational with complex coefficients
     cquad = write(tmp_path, "cquad.json", {"coeffs": [["1"], [{"re": "0", "im": "1"}], ["1"]]})
+    # argv arrives as words, so that the child loads json only if bcalc does
     child = """
-import contextlib, io, json, sys
-argv = json.loads(sys.argv[1])
+import contextlib, io, sys
+argv = sys.argv[1:]
 import bcalc, bcalc.cli
 if argv:
     with contextlib.redirect_stdout(io.StringIO()):
@@ -690,29 +703,38 @@ else:  # the benchmark's setup snippet
     from bcalc import geometry
     geometry.x2b(); geometry.triple_b_space()
     code = 0
-print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "bcalc"),
-                  [m for m in ("numpy", "scipy", "dataclasses", "inspect") if m in sys.modules],
-                  [m for m in ("fractions", "decimal") if m in sys.modules]]))
+loaded = set(sys.modules)
+import json
+print(json.dumps([code, sorted(m for m in loaded if m.split(".")[0] == "bcalc"),
+                  [m for m in ("numpy", "scipy", "dataclasses", "inspect") if m in loaded],
+                  [m for m in ("fractions", "decimal") if m in loaded],
+                  [m for m in ("json", "__future__") if m in loaded]]))
 """
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    # the spaces need no index sets, no rationals and no serializer
+    spaces = {"bcalc", "cli", "errors", "records", "geometry"}
 
-    def loads(*argv, rationals=True, numpy=False):
-        proc = subprocess.run([sys.executable, "-c", child, json.dumps(argv)],
+    def loads(*argv, rationals=True, numpy=False, reads_json=True):
+        proc = subprocess.run([sys.executable, "-c", child, *argv],
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
-        code, modules, heavy, fractions = json.loads(proc.stdout)
+        code, modules, heavy, fractions, light = json.loads(proc.stdout)
         # NumPy itself loads inspect
         assert code == 0 and heavy == (["numpy", "inspect"] if numpy else []), (argv, code, heavy)
         # Fraction (and the decimal module it imports) loads with the layers that use it
         assert bool(fractions) == rationals, (argv, fractions)
-        return {m.removeprefix("bcalc.") for m in modules}
+        modules = {m.removeprefix("bcalc.") for m in modules}
+        # json loads to write --json output or to read files, and __future__
+        # only with a layer beyond the spaces
+        assert ("json" in light) == reads_json, (argv, light)
+        assert ("__future__" in light) == bool(modules - spaces), (argv, light)
+        return modules
 
-    # the spaces need no index sets, no rationals and no serializer
-    spaces = {"bcalc", "cli", "errors", "records", "geometry"}
     core = {"bcalc", "cli", "errors", "indexsets", "rationals", "records", "serialize"}
     # the exact layers are records, not dataclasses: no dataclasses, no inspect
-    assert loads(rationals=False) == spaces
-    assert loads("space", "triple", rationals=False) == spaces
+    assert loads(rationals=False, reads_json=False) == spaces
+    assert loads("space", "triple", rationals=False, reads_json=False) == spaces
+    assert loads("space", "triple", "--json", rationals=False) == spaces
     assert loads("map", "compose", pi2, proj, rationals=False) == spaces | {"serialize"}
     assert loads("indexset", "extunion", smooth, smooth) == core
     assert loads("transport", "pushforward", proj, fam) == core | {"geometry", "transport"}
@@ -724,6 +746,9 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "bca
     assert loads("op", "specb", cquad) == core | {"boperators", "rootfinder"}
     # the apply check crunches floats with NumPy, and loads no SciPy
     assert loads("op", "apply-check", op, numpy=True) == core | {"boperators", "numeric"}
+    # so does the HS probe, which reads no file
+    assert loads("op", "hs", numpy=True, reads_json=False) == (
+        core - {"serialize"} | {"boperators", "numeric"})
     # the acceptance suite's layers, numeric among them, are records too
     # (NumPy itself loads inspect)
     proc = subprocess.run(
@@ -796,10 +821,103 @@ def test_rational_flag_defaults_are_fractions(capsys, monkeypatch):
         assert capsys.readouterr().out == text
 
 
-def test_numeric_failure_is_exit_3(capsys):
+ROOT_HELP = """\
+usage: bcalc [-h] [--json] {indexset,space,map,transport,op,verify} ...
+
+index-set calculus with numeric cross-checks
+
+positional arguments:
+  {indexset,space,map,transport,op,verify}
+    indexset            index-set algebra
+    space               model corners and blow-ups
+    map                 b-map descriptors
+    transport           index transport theorems
+    op                  half-line operator calculus
+    verify              run the verification suite
+
+options:
+  -h, --help            show this help message and exit
+  --json                machine-readable output
+"""
+
+OP_HELP = """\
+usage: bcalc op [-h] [--json]
+                {specb,split,inverse,apply-check,compose,action,parametrix,hs}
+                ...
+
+positional arguments:
+  {specb,split,inverse,apply-check,compose,action,parametrix,hs}
+
+options:
+  -h, --help            show this help message and exit
+  --json                machine-readable output
+"""
+
+COMMANDS = "'indexset', 'space', 'map', 'transport', 'op', 'verify'"
+
+
+def test_help_and_usage_errors_read_as_from_the_full_parser(capsys, monkeypatch):
+    # main builds one command's leaves; what it prints without a command, or
+    # for a command's own help, is pinned here
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv, code, out, err in (
+        (["--help"], 0, ROOT_HELP, ""),
+        (["-h", "op"], 0, ROOT_HELP, ""),
+        ([], 1, "", "bcalc: error: the following arguments are required: command\n"),
+        (["bogus"], 1, "", f"bcalc: error: argument command: invalid choice: 'bogus' "
+                           f"(choose from {COMMANDS})\n"),
+        (["op"], 1, "", "bcalc op: error: the following arguments are required: action\n"),
+        (["op", "--help"], 0, OP_HELP, ""),
+    ):
+        assert exit_code(argv) == code, argv
+        assert capsys.readouterr() == (out, err), argv
+
+
+def _leaves(parser):
+    """{(command, action): leaf parser} of the leaves ``parser`` holds."""
+    def sub(p):
+        return next((a.choices for a in p._actions if isinstance(a, argparse._SubParsersAction)), {})
+
+    leaves = {}
+    for command, p in sub(parser).items():
+        actions = sub(p)
+        if not actions and len(p._actions) > 1:  # a leaf itself, not a bare -h parser
+            leaves[command, None] = p
+        leaves.update(((command, action), leaf) for action, leaf in actions.items())
+    return leaves
+
+
+def _describe(leaf):
+    return ([(a.option_strings, a.dest, a.default, a.type, a.choices, a.nargs, a.required, a.help)
+             for a in leaf._actions], leaf.format_help())
+
+
+def test_a_command_parser_builds_the_leaves_of_the_full_parser():
+    full = _leaves(cli.build_parser())
+    assert sorted(full, key=str) == sorted(cli._ACTIONS, key=str)
+    for command in cli._COMMANDS:
+        mine = _leaves(cli.build_parser(command))
+        assert {key[0] for key in mine} == {command}
+        assert mine.keys() == {key for key in full if key[0] == command}, command
+        for key, leaf in mine.items():
+            assert _describe(leaf) == _describe(full[key]), key
+
+
+def test_numeric_failure_is_exit_3(tmp_path, capsys, monkeypatch):
     for exc in (QuadratureError, ConditioningError, FitRejection):
         assert issubclass(exc, NumericFailure)
-    assert main(["op", "hs", "--tol", "1e-15"]) == 3  # QuadratureError
+
+    def fail(*args, **kwargs):
+        raise QuadratureError("quadrature did not converge")
+
+    monkeypatch.setattr(bop, "hs_front_face_criterion", fail)
+    assert main(["op", "hs"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numeric failure: quadrature did not converge\n"
+    # a kernel that grows like s^2000 overflows the apply check's grid
+    op = write(tmp_path, "op.json", {"coeffs": [["2000"], ["1"]]})
+    assert main(["op", "apply-check", op, "--gamma", "-3000"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.strip().splitlines()) == 1

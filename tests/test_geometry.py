@@ -64,7 +64,7 @@ def test_corner_blowup_lattice():
     assert lat.bhs_names == ("lb", "rb", "ff")
     proper = {tuple(sorted(f)) for f in lat.proper_faces()}
     assert proper == {("lb",), ("rb",), ("ff",), ("ff", "lb"), ("ff", "rb")}
-    assert not lat.is_face(["lb", "rb"])
+    assert frozenset(["lb", "rb"]) not in lat.faces
 
 
 def test_blowup_requires_codim_two_center():
@@ -81,10 +81,10 @@ def test_axis_blowup_in_octant():
     q = geo.model_quadrant(3, 3)
     rec = geo.blow_up_face(q, {"H2", "H3"}, "ff1")
     lat = rec.result
-    assert not lat.is_face(["H2", "H3"])
-    assert lat.is_face(["H2", "ff1"]) and lat.is_face(["H3", "ff1"])
-    assert lat.is_face(["H1", "ff1"])  # the axis meets the transversal hyperplane
-    assert not lat.is_face(["H1", "H2", "H3"])
+    assert frozenset(["H2", "H3"]) not in lat.faces
+    assert frozenset(["H2", "ff1"]) in lat.faces and frozenset(["H3", "ff1"]) in lat.faces
+    assert frozenset(["H1", "ff1"]) in lat.faces  # the axis meets the transversal hyperplane
+    assert frozenset(["H1", "H2", "H3"]) not in lat.faces
 
 
 def test_codim_examples():
@@ -101,10 +101,10 @@ def test_triple_space_lattice():
     lat, records = geo.triple_b_space()
     assert lat.bhs_names == ("bf1", "bf2", "bf3", "fff", "ff1", "ff2", "ff3")
     assert len(records) == 4
-    assert not lat.is_face(["ff1", "ff2"])
-    assert lat.is_face(["bf3", "fff"])
-    assert lat.is_face(["fff", "ff1"])
-    assert not lat.is_face(["bf1", "ff1"])
+    assert frozenset(["ff1", "ff2"]) not in lat.faces
+    assert frozenset(["bf3", "fff"]) in lat.faces
+    assert frozenset(["fff", "ff1"]) in lat.faces
+    assert frozenset(["bf1", "ff1"]) not in lat.faces
 
 
 def test_blowdown_matrix_shape_rule():

@@ -122,10 +122,6 @@ CASES = {
         lambda: num.PhgExpansion(((F(0), 0, 1.0),), 0.0),
         "PhgExpansion(terms=((Fraction(0, 1), 0, 1.0), (Fraction(1, 1), 1, -0.5)), "
         "fit_residual=0.0)"),
-    "KernelWindow": (
-        lambda: num.KernelWindow(math.exp, (0.0, 1.0)),
-        lambda: num.KernelWindow(math.exp, (1.0, math.inf)),
-        "KernelWindow(fn=<built-in function exp>, support=(0.0, 1.0))"),
     "CaseResult": (
         lambda: verify.CaseResult(1, "extended-union law", True, "ok"),
         lambda: verify.CaseResult(1, "extended-union law", False, "ok"),
