@@ -81,18 +81,18 @@ def _ggcd(a, b):
 
 def _primitive(p):
     """p (nonzero) divided by a Gaussian gcd of its coefficients."""
-    n = math.gcd(*(x for c in p for x in c))  # the rational-integer part, fast
-    p = tuple((a // n, b // n) for a, b in p)
+    n = math.gcd(*[x for c in p for x in c])  # the rational-integer part, fast
+    p = tuple([(a // n, b // n) for a, b in p])
     g = (0, 0)
     for c in p:
         g = _ggcd(c, g)
-    return tuple(_gquo(c, g) for c in p)
+    return tuple([_gquo(c, g) for c in p])
 
 
 def _gaussian(poly):
     """The Z[i] polynomial of an exact one: denominators cleared once."""
-    den = math.lcm(*(x.denominator for c in poly for x in (c.re, c.im)))
-    return tuple((int(c.re * den), int(c.im * den)) for c in poly)
+    den = math.lcm(*[x.denominator for c in poly for x in (c.re, c.im)])
+    return tuple([(int(c.re * den), int(c.im * den)) for c in poly])
 
 
 def _prem(p, q):
@@ -138,7 +138,7 @@ def _pgcd(p, q):
     while q:
         delta = len(p) - len(q)
         d = _gmul(g, _gpow(h, delta))
-        r = tuple(_gquo(c, d) for c in _prem(p, q))
+        r = tuple([_gquo(c, d) for c in _prem(p, q)])
         p, q = q, r
         g = p[-1]
         h = _gquo(_gpow(g, delta), _gpow(h, delta - 1))
@@ -150,7 +150,7 @@ def _squarefree(p):
     [(primitive factor, multiplicity)], by gcds and exact quotients only: the
     float root finder then sees only simple roots (a double root would be
     smeared by ~1e-8 in floating point, far beyond the cluster tolerance)."""
-    c = _pgcd(p, _primitive(tuple((i * a, i * b) for i, (a, b) in enumerate(p) if i)))
+    c = _pgcd(p, _primitive(tuple([(i * a, i * b) for i, (a, b) in enumerate(p) if i])))
     w = _pquo(p, c)
     out = []
     i = 1
@@ -355,7 +355,7 @@ class BDiffOp(Record):
     @classmethod
     def from_lists(cls, coeff_lists, trunc: Optional[int] = None) -> "BDiffOp":
         series = tuple(
-            tuple(ComplexRational.of(c) for c in lst) or (ZERO,) for lst in coeff_lists
+            [tuple([ComplexRational.of(c) for c in lst]) or (ZERO,) for lst in coeff_lists]
         )
         if trunc is None:
             trunc = max(len(s) - 1 for s in series)
@@ -401,7 +401,7 @@ def indicial(op: BDiffOp) -> IndicialData:
     """Freeze coefficients at x = 0 and factor the resulting polynomial."""
     if not op.constant_term(op.order):
         raise NotBElliptic("leading coefficient vanishes at x = 0")
-    poly = tuple(op.constant_term(j) for j in range(op.order + 1))
+    poly = tuple([op.constant_term(j) for j in range(op.order + 1)])
     roots = polynomial_roots(poly)
     assert sum(r.multiplicity for r in roots) == op.order
     entries = [
@@ -898,11 +898,11 @@ def hs_front_face_criterion(p: Callable, support_c: float, eps: float,
     log(1/eps).  Both integrals are fixed-order Gauss-Legendre, so no SciPy
     is loaded: the ds/s integral on ``_HS_NODES`` nodes in u = log s on each
     of [-log C, 0] and [0, log C], or on ``_HS_SUPPORT_NODES`` nodes in u
-    over the part in [1/C, C] of ``s_support = (lo, hi)``, an interval off
-    which p vanishes; the dx/x integral on ``_HS_X_NODES`` nodes in
-    t = log x on each ladder interval, split at C/4 and C/2.  p is called on
-    at most ``_HS_BLOCK`` x values at a time.  Anything but 0 < eps < C and
-    1 < C <= ``_HS_MAX_C``, or an s-support that misses [1/C, C], is refused
+    over ``s_support = (lo, hi)``, an interval inside [1/C, C] off which p
+    vanishes; the dx/x integral on ``_HS_X_NODES`` nodes in t = log x on
+    each ladder interval, split at C/4 and C/2.  p is called on at most
+    ``_HS_BLOCK`` x values at a time.  Anything but 0 < eps < C and
+    1 < C <= ``_HS_MAX_C``, or an s-support not inside [1/C, C], is refused
     with ``ValueError``; a norm that is not finite raises ``QuadratureError``.
     """
     import numpy as np
@@ -916,9 +916,9 @@ def hs_front_face_criterion(p: Callable, support_c: float, eps: float,
         log_c = math.log(support_c)
         s_pieces, s_nodes = ((-log_c, 0.0), (0.0, log_c)), _HS_NODES
     else:
-        lo, hi = max(s_support[0], 1.0 / support_c), min(s_support[1], support_c)
-        if not lo < hi:
-            raise ValueError(f"s_support {s_support} misses [1/C, C] for C = {support_c}")
+        lo, hi = s_support
+        if not 1.0 / support_c <= lo < hi <= support_c:
+            raise ValueError(f"s_support {s_support} is not inside [1/C, C] for C = {support_c}")
         s_pieces, s_nodes = ((math.log(lo), math.log(hi)),), _HS_SUPPORT_NODES
 
     def rule(pieces, n):

@@ -110,7 +110,7 @@ def model_quadrant(k: int, n: int, names=None) -> FaceLattice:
     if k >= _FACE_BUDGET.bit_length():  # 2^k > _FACE_BUDGET, without computing 2^k
         raise LatticeError(f"k={k} gives 2^{k} faces, more than the budget of {_FACE_BUDGET}")
     if names is None:
-        names = tuple(f"H{i + 1}" for i in range(k))
+        names = tuple([f"H{i + 1}" for i in range(k)])
     else:
         names = tuple(names)
         if len(names) != k:
@@ -157,13 +157,13 @@ class BMapDescriptor(Record):
         """Build from a {(source bhs, target bhs): exponent} mapping."""
         rows = []
         for g in source.bhs_names:
-            rows.append(tuple(int(table.get((g, h), 0)) for h in target.bhs_names))
+            rows.append(tuple([int(table.get((g, h), 0)) for h in target.bhs_names]))
         return cls(source, target, tuple(rows), fibration_on_faces)
 
     @classmethod
     def identity(cls, lattice: FaceLattice) -> "BMapDescriptor":
         n = len(lattice.bhs_names)
-        rows = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+        rows = tuple([tuple([1 if i == j else 0 for j in range(n)]) for i in range(n)])
         return cls(lattice, lattice, rows, fibration_on_faces=True)
 
     def e(self, g: str, h: str) -> int:
@@ -186,7 +186,7 @@ class BMapDescriptor(Record):
         return cls(
             source=FaceLattice.from_jsonable(data["source"]),
             target=FaceLattice.from_jsonable(data["target"]),
-            exponents=tuple(tuple(row) for row in data["e"]),
+            exponents=tuple([tuple(row) for row in data["e"]]),
             fibration_on_faces=data.get("fibration_faces", False),
         )
 
@@ -258,10 +258,10 @@ def compose(f: BMapDescriptor, g: BMapDescriptor) -> BMapDescriptor:
     rows = []
     for i in range(len(f.source.bhs_names)):
         rows.append(
-            tuple(
+            tuple([
                 sum(f.exponents[i][h] * g.exponents[h][j] for h in range(len(f.target.bhs_names)))
                 for j in range(len(g.target.bhs_names))
-            )
+            ])
         )
     composite = BMapDescriptor(f.source, g.target, tuple(rows), fibration_on_faces=False)
     if f.fibration_on_faces and g.fibration_on_faces and _codim_check(composite)[0]:

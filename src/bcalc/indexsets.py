@@ -256,7 +256,7 @@ class IndexFamily(Record):
 
     @property
     def names(self):
-        return tuple(name for name, _ in self.sets)
+        return tuple([name for name, _ in self.sets])
 
     def __getitem__(self, name: str) -> IndexSet:
         for n, s in self.sets:
@@ -267,7 +267,7 @@ class IndexFamily(Record):
     def sum_with(self, other: "IndexFamily") -> "IndexFamily":
         if self.names != other.names:
             raise ValueError("families live on different boundary hypersurface sets")
-        return IndexFamily(tuple((n, s + other[n]) for n, s in self.sets))
+        return IndexFamily(tuple([(n, s + other[n]) for n, s in self.sets]))
 
     def to_jsonable(self) -> dict:
         return {"assignment": {n: s.to_jsonable() for n, s in self.sets}}

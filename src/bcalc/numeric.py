@@ -285,7 +285,7 @@ class PhgExpansion(Record):
         return ((-1) ** p) * self.coeff(z, p)
 
     def significant_terms(self, tol: float):
-        return tuple((z, p) for z, p, c in self.terms if abs(c) > tol)
+        return tuple([(z, p) for z, p, c in self.terms if abs(c) > tol])
 
 
 def _next_exponent_after(candidate: IndexSet, cutoff) -> float:
@@ -404,7 +404,7 @@ def fit_expansion(x, values, candidate: IndexSet, cutoff) -> PhgExpansion:
                     f"max residual {fit_residual:.3g} on grid of {len(x)} points"
                 )
 
-    terms = tuple((z, p, float(c)) for (z, p), c in zip(merged, coeffs))
+    terms = tuple([(z, p, float(c)) for (z, p), c in zip(merged, coeffs)])
     return PhgExpansion(terms, fit_residual)
 
 
@@ -528,11 +528,11 @@ def _log_step(x_grid: np.ndarray) -> float:
 #: f(t - kh)) + O(h^13), w_k = (-1)^(k+1) (6!)^2 / (k (6-k)! (6+k)!)
 #: (Fornberg, Math. Comp. 51, 1988), each an int ratio rounded once.
 _HALF_WIDTH = 6
-_WEIGHTS = tuple(
+_WEIGHTS = tuple([
     (-1) ** (k + 1) * math.factorial(_HALF_WIDTH) ** 2
     / (k * math.factorial(_HALF_WIDTH - k) * math.factorial(_HALF_WIDTH + k))
     for k in range(1, _HALF_WIDTH + 1)
-)
+])
 
 
 def _dlog(values: np.ndarray, h: float) -> np.ndarray:

@@ -36,7 +36,7 @@ class Record:
     _fields = ()
 
     def __init_subclass__(cls):
-        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        cls._fields = tuple([name for name in cls.__slots__ if not name.startswith("_")])
 
     def __init__(self, *values):
         if len(values) != len(self._fields):

@@ -48,7 +48,7 @@ def parse_object(data):
             entries = data["entries"]
             if not isinstance(entries, list):
                 raise SchemaError(f"an entry list must be a list, got {entries!r}")
-            return tuple(IndexEntry.from_jsonable(e) for e in entries)
+            return tuple([IndexEntry.from_jsonable(e) for e in entries])
         raise SchemaError(f"unrecognized object with keys {sorted(data)}")
     except SchemaError:
         raise

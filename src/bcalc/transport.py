@@ -47,7 +47,7 @@ def pull_back_family(f: BMapDescriptor, family: IndexFamily) -> IndexFamily:
             out[g] = EMPTY
             continue
         gens = []
-        for combo in itertools.product(*(s.sorted_generators() for s in factor_sets)):
+        for combo in itertools.product(*[s.sorted_generators() for s in factor_sets]):
             z = None
             p = 0
             for (h, e), gen in zip(positive, combo):
@@ -102,11 +102,11 @@ def _push_forward(f: BMapDescriptor, family: IndexFamily, result) -> TransportRe
             acc = table.get(face - {last}, EMPTY)
             table[face] = acc.extended_union(scaled[last]) if last in scaled else acc
         totals[h] = IndexSet.from_entries(g for s in table.values() for g in s.generators)
-    violating = tuple(
+    violating = tuple([
         g
         for g in f.source.bhs_names
         if all(f.e(g, h) == 0 for h in f.target.bhs_names) and family[g].inf_re() <= 0
-    )
+    ])
     return TransportReport(result(totals), not violating, violating, tables)
 
 

@@ -27,7 +27,7 @@ LOG_SET = SMOOTH.extended_union(SMOOTH)  # integer exponents with log powers 0, 
 
 def case_extended_union_law():
     expected = tuple(
-        IndexEntry(ComplexRational.of(n), p) for n in range(11) for p in (0, 1)
+        [IndexEntry(ComplexRational.of(n), p) for n in range(11) for p in (0, 1)]
     )
     got = LOG_SET.truncate(10)
     assert got == expected, f"truncation mismatch: {got}"
@@ -142,7 +142,7 @@ def case_bfibration_checker():
 
 
 def _random_projection_matrix(rng, rows, cols):
-    return tuple(tuple(rng.randint(0, 3) for _ in range(cols)) for _ in range(rows))
+    return tuple([tuple([rng.randint(0, 3) for _ in range(cols)]) for _ in range(rows)])
 
 
 def case_matrix_functoriality():
@@ -318,7 +318,7 @@ SUITES = {
     "pushforward": (2, 3, 4, 13),
     "parametrix": (8, 9, 10, 11),
     "frontface": (12,),
-    "all": tuple(cid for cid, _, _ in CASES),
+    "all": tuple([cid for cid, _, _ in CASES]),
 }
 
 

@@ -874,7 +874,8 @@ def test_hs_refuses_what_it_cannot_integrate():
     with pytest.raises(QuadratureError):
         bop.hs_front_face_criterion(lambda x, s: np.nan * s, 4.0, 1e-3)
     for c, eps, support in ((1.0, 0.5, None), (0.5, 1e-3, None), (4.0, 4.0, None),
-                            (1e11, 1e-3, None), (4.0, 1e-3, (5.0, 6.0)), (4.0, 1e-3, (1.0, 1.0))):
+                            (1e11, 1e-3, None), (4.0, 1e-3, (5.0, 6.0)), (4.0, 1e-3, (1.0, 1.0)),
+                            (1.5, 1e-3, (0.5, 1.5)), (4.0, 1e-3, (0.2, 1.0))):
         with pytest.raises(ValueError):
             bop.hs_front_face_criterion(lambda x, s: 0.0, c, eps, s_support=support)
 

@@ -371,11 +371,28 @@ def test_op_hs_samples_the_kernel_for_a_wide_support(capsys):
         payload, _, code = cli._op_hs(cli.build_parser("op").parse_args(["op", "hs", "--support-c", c]))
         assert code == 0 and abs(payload["slope"] - 0.50682472638052931) < 1e-13, c
     # beyond 1e10 the x-bump norms swamp their increments; at C <= 1 the
-    # kernel's s-range [1/C, C] is empty
-    for c in ("1e11", "1e308", "1", "0.5"):
+    # kernel's s-range [1/C, C] is empty; below C = 2 it would cut off part of
+    # the kernels' s-support (0.5, 1.5), and the slope read 0.495356355056 at 1.5
+    for c in ("1e11", "1e308", "1", "0.5", "1.5", "1.9"):
         assert main(["op", "hs", "--support-c", c]) == 1, c
         captured = capsys.readouterr()
         assert captured.out == "" and len(captured.err.strip().splitlines()) == 1, c
+    for c in ("2", "4"):
+        assert run(capsys, "op", "hs", "--support-c", c) == (0, (
+            "log(1/eps) slope: 0.506824726381\n"
+            "front-face squared norm: 0.506824726381\n")), c
+
+
+def test_readme_redirect_examples_write_what_the_next_line_reads(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = [line for line in readme.splitlines() if line.startswith("bcalc ") and " > " in line]
+    assert len(lines) == 2
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        command, target = line.split(" > ")
+        assert main(command.split()[1:]) == 0, line
+        (tmp_path / target.strip()).write_text(capsys.readouterr().out)
+    assert json.loads((tmp_path / "x2b.json").read_text())["center"] == ["Hx", "Hy"]
 
 
 def test_op_apply_check_refuses_non_real_coefficients(tmp_path, capsys):
