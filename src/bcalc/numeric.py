@@ -289,56 +289,78 @@ class PhgExpansion(Record):
 
 
 def _next_exponent_after(candidate: IndexSet, cutoff) -> float:
+    """Least Re z in (cutoff, cutoff + 3] of a member z0 + k (z0 a generator), else cutoff + 1."""
     limit = as_fraction(cutoff)
-    beyond = [e.z.re for e in candidate.truncate(limit + 3) if e.z.re > limit]
-    return float(min(beyond, default=limit + 1))
+    nexts = [g.z.re + max(0, math.floor(limit - g.z.re) + 1) for g in candidate.generators]
+    return float(min([z for z in nexts if z <= limit + 3], default=limit + 1))
 
 
 _COND_GUARD = 1e13  # largest accepted condition number of the column-scaled basis
 _MERGE_GAP = 1e-2  # exponents closer than this at equal log power are merged
 _DECAY_SUBGRID = 20  # smallest-x points whose residual must decay
 _DECAY_FLOOR = 1e-7  # relative residual below which decay is not checked
+_SQUARINGS = 24  # most squarings of a Gram matrix in _cond2
 
 
 def line_slope(t, y) -> float:
-    """The least-squares slope of y against t, sum (t - mean t)(y - mean y) /
-    sum (t - mean t)^2, by row sums (``np.polyfit``'s LAPACK solve adds
-    about 0.12 MB of peak RSS on its first call)."""
+    """The least-squares slope of y against t: sum dt (y - mean y) / sum dt^2, dt = t - mean t."""
     t, y = np.asarray(t, dtype=float), np.asarray(y, dtype=float)
     dt = t - t.mean()
     return float((dt * (y - y.mean())).sum() / (dt * dt).sum())
 
 
-def _qr_solve(q, r, v):
-    """R^-1 Q^T v by back substitution (``np.linalg.solve`` adds 0.4 MB of peak RSS)."""
-    y, c = q.T @ v, np.zeros(r.shape[1])
-    for i in reversed(range(len(c))):
-        c[i] = (y[i] - r[i, i + 1:] @ c[i + 1:]) / r[i, i]
+def _reflect(reflectors, v):
+    """Q^T v: the Householder reflectors I - h h^T (h^T h = 2) applied to v in turn."""
+    y = np.array(v, dtype=float)
+    for j, h in enumerate(reflectors):
+        y[j:] -= h * (h * y[j:]).sum()
+    return y[:len(reflectors)]
+
+
+def _back_substitute(r, y):
+    """R^-1 y for an upper triangular R, row by row from the last; a matrix y by columns."""
+    c = np.zeros_like(y)
+    for i in reversed(range(len(r))):
+        c[i] = (y[i] - (r[i, i + 1:] * c[i + 1:].T).sum(-1)) / r[i, i]
     return c
+
+
+def _cond2(r, r_inv) -> float:
+    """cond_2(R) = sqrt(lambda_max(R^T R) lambda_max(R^-1 R^-T)) from above, within n^(2^-K).
+    A Gram matrix G has lambda_max^m <= tr G^m <= n lambda_max^m: e_k = log(tr G^(2^k)) / 2^k
+    bounds log lambda_max above and 2 e_(k+1) - e_k below.  Both G are squared, over their
+    traces, until both brackets are below log(n) / 2^K, K = ``_SQUARINGS``.  Not finite: inf."""
+    g, log_cond = np.stack([r, r_inv.T]), 0.0
+    for k in range(_SQUARINGS + 1):
+        g = (g[:, :, :, None] * g[:, :, None]).sum(1)  # G = g^T g, then G^2 = G^T G
+        traces = g.trace(axis1=1, axis2=2)
+        steps = np.log(traces) / 2 ** (k + 1)  # half a bracket: cond is a square root
+        log_cond += steps.sum()
+        if k and -steps.min() <= math.log(len(r)) / 2 ** (_SQUARINGS + 1):
+            break
+        g = g / traces[:, None, None]
+    return math.exp(log_cond) if math.isfinite(log_cond) else math.inf
 
 
 def fit_expansion(x, values, candidate: IndexSet, cutoff) -> PhgExpansion:
     """Least-squares fit of samples against a candidate index-set truncation.
 
-    The candidate's members with ``Re z <= cutoff`` give the basis
-    ``x^z log^p(1/x)``, with exact Fraction exponents.  Exponents
-    closer than ``_MERGE_GAP`` at equal log power are merged with a warning
-    (the basis would collapse).  After fitting, the residual on the
-    ``_DECAY_SUBGRID`` smallest x must decay at least like the first omitted
-    exponent, or the fit is rejected.  Fits whose residual already sits at
-    the numeric floor (below ``_DECAY_FLOOR`` relative to the data scale,
-    where coefficient leakage hides any decay) pass unconditionally.
+    The candidate's members with ``Re z <= cutoff`` give the basis x^z log^p(1/x), with
+    exact Fraction exponents; exponents closer than ``_MERGE_GAP`` at equal log power are
+    merged with a warning (the basis would collapse).  The residual on the
+    ``_DECAY_SUBGRID`` smallest x must then decay at least like the first omitted exponent,
+    or the fit is rejected, unless it sits at the numeric floor (below ``_DECAY_FLOOR``
+    relative to the data scale, where coefficient leakage hides any decay).
 
-    One reduced QR of the column-scaled basis A_s serves the guard (cond(R)
-    = cond(A_s)), the solve c = R^-1 Q^T v and one refinement step
-    c += R^-1 Q^T r, each row of r = v - A_s c summed by ``math.fsum``.  At
-    acceptance case 3's cond(A_s) = 9e11 a float residual loses digits to
-    cancellation; the step takes its x^2 log x coefficient from an error of
-    4.3e-8 (``np.linalg.lstsq``) to 1.4e-9, a 50-digit solve's accuracy.
-    ``ConditioningError`` refuses a zero column, fewer points than columns
-    or cond(A_s) over ``_COND_GUARD``; a grid point that is not finite and
-    positive, a non-finite sample, or grid and samples of different lengths
-    are a ValueError, raised before any LAPACK call.
+    A Householder QR of the column-scaled basis A_s, in numpy ufuncs, serves the guard (cond(R)
+    = cond(A_s), ``_cond2`` on R and R^-1), the solve c = R^-1 Q^T v by back substitution, and
+    two refinement steps c += R^-1 Q^T r by that R^-1, each row of r = v - A_s c summed by
+    ``math.fsum``.  No BLAS or LAPACK routine runs (the first call of one makes OpenBLAS take
+    about 1 MB).  At acceptance case 3's cond(A_s) = 9e11 a float residual loses digits to
+    cancellation; refined, its x^2 log x coefficient is off by 1.5e-9, as a 50-digit solve's
+    is.  ``ConditioningError`` refuses a zero column, fewer points than columns or cond(A_s)
+    over ``_COND_GUARD``; a grid point that is not finite and positive, a non-finite sample,
+    or grid and samples of different lengths are a ValueError.
     """
     x = np.asarray(x, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -371,21 +393,33 @@ def fit_expansion(x, values, candidate: IndexSet, cutoff) -> PhgExpansion:
     a = np.column_stack(cols)
     if len(x) < len(cols):
         raise ConditioningError(f"{len(x)} grid points cannot fit {len(cols)} basis columns")
-    scale = np.linalg.norm(a, axis=0)
+    scale = np.sqrt((a * a).sum(0))
     if np.any(scale == 0):
         raise ConditioningError("zero basis column on this grid")
     a_scaled = a / scale
-    q, r = np.linalg.qr(a_scaled)
-    cond = np.linalg.cond(r)
+    r, reflectors = a_scaled.copy(), []
+    for j in range(len(cols)):  # I - h h^T (h^T h = 2) takes r[j:, j] to (-+|r[j:, j]|, 0, ...)
+        block = r[j:, j:]
+        h = block[:, 0].copy()
+        norm = math.sqrt((h * h).sum())
+        h[0] += math.copysign(norm, h[0])
+        h *= 1 / math.sqrt(norm * (norm + abs(block[0, 0])) or 1.0)
+        block -= h[:, None] * (h[:, None] * block).sum(0)
+        reflectors.append(h)
+    r = np.triu(r[:len(cols)])
+    with np.errstate(all="ignore"):  # a singular R has an R^-1 that is not finite
+        r_inv = _back_substitute(r, np.eye(len(r)))
+        cond = _cond2(r, r_inv)
     if cond > _COND_GUARD:
         raise ConditioningError(
             f"basis condition number {cond:.3g} exceeds the guard {_COND_GUARD:.3g}"
         )
-    coeffs = _qr_solve(q, r, values)
-    rows = np.column_stack([values, -a_scaled * coeffs]).tolist()
-    coeffs += _qr_solve(q, r, np.array([math.fsum(row) for row in rows]))
+    coeffs = _back_substitute(r, _reflect(reflectors, values))
+    for _ in range(2):
+        rows = np.column_stack([values, -a_scaled * coeffs]).tolist()
+        coeffs += (r_inv * _reflect(reflectors, np.fromiter(map(math.fsum, rows), float))).sum(1)
     coeffs = coeffs / scale
-    resid = values - a @ coeffs
+    resid = values - (a * coeffs).sum(1)
     fit_residual = float(np.max(np.abs(resid)))
 
     scale = 1.0 + float(np.max(np.abs(values)))

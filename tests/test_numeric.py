@@ -1,17 +1,19 @@
 import math
+import warnings
 from fractions import Fraction
 
 import hypothesis.strategies as st
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from bcalc import boperators as bop
 from bcalc import numeric as num
 from bcalc.errors import ConditioningError, FitRejection, IntegrabilityError, QuadratureError
 from bcalc.indexsets import SMOOTH, IndexSet
 from bcalc.rationals import ComplexRational as CR
+from bcalc.rationals import as_fraction
 
 
 def S(*entries):
@@ -326,6 +328,13 @@ def test_fit_reads_the_case_3_coefficient_to_the_float_floor():
     samples = num.numeric_pushforward(u, num.QuadratureSpec(1e-12, 1e-12, 300), grid)
     fit = num.fit_expansion(grid, samples.values, SMOOTH.extended_union(SMOOTH), 8)
     assert abs(fit.coeff_log_x(2, 1) + 0.5) <= 3e-9
+    # The fit lands 7.9e-12 from that solve.  The bound pins this solve's
+    # rounding, not a floor: the exact least-squares solution of the
+    # float-rounded basis is 2.7e-11 away, and other summation orders of the
+    # same QR land 8e-12 to 1.4e-10 away.
+    basis = [(n, p) for n in range(9) for p in (0, 1)]
+    want = _mp_least_squares(grid, samples.values, basis)[basis.index((2, 1))]
+    assert abs(fit.coeff(2, 1) - want) <= 2e-11
 
 
 def _mp_least_squares(grid, values, basis):
@@ -366,6 +375,71 @@ def test_fit_matches_a_50_digit_least_squares_solve(top, ratio, cut, extra, coef
     size = max(np.max(np.abs(values)), np.finfo(float).tiny)
     err = np.max(np.abs(got - want) * scale) / (cond * size)
     assert err <= 5e-16
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 20), extra=st.integers(0, 60), decades=st.floats(0, 14),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_cond2_matches_numpy_on_column_scaled_bases(n, extra, decades, seed):
+    # singular values 1 .. 10^-decades, then columns scaled by 10^-3 .. 10^3 and
+    # normalized as fit_expansion normalizes them
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.standard_normal((min(n + extra, 80), n)))[0]
+    v = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    a = (u * np.logspace(0, -decades, n)) @ v.T * 10.0 ** rng.uniform(-3, 3, n)
+    a_s = a / np.linalg.norm(a, axis=0)
+    want = np.linalg.cond(a_s)
+    assume(want <= 1e14)
+    r = np.linalg.qr(a_s)[1]
+    got = num._cond2(r, num._back_substitute(r, np.eye(n)))
+    assert got == pytest.approx(want, rel=1e-6 if want < 1e8 else 1e-3)
+    # against cond(R) itself only the bracket, at most n^(2^-24), and rounding remain
+    assert got == pytest.approx(np.linalg.cond(r), rel=1e-6)
+
+
+@pytest.mark.parametrize("point", [0.5, 1.0])
+def test_fit_refuses_two_equal_basis_columns(point):
+    # on a grid of one repeated point x^0 and x^1 are constant columns, equal once scaled
+    grid = np.full(30, point)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConditioningError, match="exceeds the guard"):
+            num.fit_expansion(grid, np.full(30, 1.5), SMOOTH, 1)
+    r = np.array([[1.0, 1.0], [0.0, 0.0]])  # two equal columns, factored exactly
+    with np.errstate(all="ignore"):
+        assert num._cond2(r, num._back_substitute(r, np.eye(2))) == math.inf
+
+
+def _next_exponent_by_truncation(candidate, cutoff):
+    """The least Re z above the cutoff among the members listed up to cutoff + 3."""
+    limit = as_fraction(cutoff)
+    beyond = [e.z.re for e in candidate.truncate(limit + 3) if e.z.re > limit]
+    return float(min(beyond, default=limit + 1))
+
+
+_fracs = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 4))
+_entries = st.lists(st.tuples(st.builds(CR, _fracs, st.sampled_from([Fraction(0), Fraction(1),
+                                                                      Fraction(-1, 3)])),
+                              st.integers(0, 2)), min_size=1, max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(entries=_entries, cutoff=_fracs, on_member=st.booleans(), shift=st.integers(-2, 4))
+def test_next_exponent_after_reads_the_generators(entries, cutoff, on_member, shift):
+    candidate = S(*entries)
+    if on_member:  # a cutoff on an exponent of the set, or an integer step off one
+        cutoff = entries[0][0].re + shift
+    assert num._next_exponent_after(candidate, cutoff) == _next_exponent_by_truncation(
+        candidate, cutoff)
+
+
+def test_next_exponent_after_needs_no_truncation_budget():
+    # 4,000 chains k/4000 + N0: listing them up to Re z <= 3 passes the budget
+    candidate = SMOOTH.scale_down(4000)
+    with pytest.raises(ValueError, match="budget"):
+        _next_exponent_by_truncation(candidate, 0)
+    assert num._next_exponent_after(candidate, 0) == 1 / 4000
+    assert num._next_exponent_after(S((Fraction(9), 0)), 0) == 1.0  # nothing up to 3
 
 
 def test_fit_rejects_wrong_candidate():
