@@ -15,29 +15,26 @@ and selects one model inverse, realized here by residue (Mellin) inversion:
 the kernel acts as (Qv)(x) = int k(x'/x) v(x') dx'/x'.  The orientation
 convention (which half plane feeds which side, sign of the log argument) is
 pinned by the first-order model: p(z) = z + c with weight above -Re c must
-produce k(s) = s^c on the s < 1 side, and is enforced numerically by
-``apply_check``.
+produce k(s) = s^c on the s < 1 side, as acceptance case 9 checks exactly
+(``numeric.apply_check`` takes no weight, so passes another weight's kernel).
 
 Descriptor-level composition/action implement the index bookkeeping of the
 full calculus, including the Neumann parametrix iteration.
 
-The exact bookkeeping loads no NumPy, and neither does the float root
-finder for indicial factors of degree two or more (``rootfinder``,
-imported when such a factor first appears); ``apply_check`` and
-``hs_front_face_criterion`` import NumPy and ``numeric`` when they run.
+This is exact code and loads no NumPy, nor does the float root finder of
+an indicial factor of degree two or more (``rootfinder``, imported when
+one first appears); the float oracle that checks it is ``numeric``.
 """
 from __future__ import annotations
 
 import math
-import sys
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 from .errors import (
     CompositionUndefined,
     InadmissibleWeight,
     NotBElliptic,
-    QuadratureError,
     SchemaError,
 )
 from .indexsets import EMPTY, IndexEntry, IndexSet
@@ -456,9 +453,7 @@ class KernelTerm(Record):
     side "lb": coeff * (1/s)^z * log^p(s) on s > 1 (mirrored in 1/s).
     """
 
-    # the cache _floats: evaluate's float forms of coeff and of the power of s
-    # (z on the rb side, -z on the lb side), converted once per term, not per call
-    __slots__ = ("z", "p", "side", "coeff", "_floats")
+    __slots__ = ("z", "p", "side", "coeff")
 
     def __init__(self, z: ComplexRational, p: int, side: str, coeff: ComplexRational):
         if type(p) is not int or p < 0:
@@ -479,13 +474,8 @@ class KernelTerm(Record):
             if s <= 1.0:
                 return 0.0
             base = math.log(s)
-        try:
-            coeff, power = self._floats
-        except AttributeError:
-            zc = self.z.as_complex()
-            coeff, power = self.coeff.as_complex(), zc if self.side == "rb" else -zc
-            _set(self, "_floats", (coeff, power))
-        return coeff * s ** power * base ** self.p
+        zc = self.z.as_complex()
+        return self.coeff.as_complex() * s ** (zc if self.side == "rb" else -zc) * base ** self.p
 
 
 class ModelKernel(Record):
@@ -498,9 +488,6 @@ class ModelKernel(Record):
         """(lo, hi) in s: (0, 1) from the rb terms, (1, inf) from the lb terms."""
         sides = {t.side for t in self.terms}
         return (0.0 if "rb" in sides else 1.0, math.inf if "lb" in sides else 1.0)
-
-    def evaluate(self, s: float) -> float:
-        return sum(t.evaluate(s) for t in self.terms).real if self.terms else 0.0
 
     def to_jsonable(self) -> dict:
         return {
@@ -572,150 +559,6 @@ def model_inverse(ind: IndicialData, gamma) -> ModelKernel:
                 terms.append(KernelTerm(z, j - 1, side, coeff))
     terms.sort(key=lambda t: (t.side, t.z.key(), t.p))
     return ModelKernel(tuple(terms))
-
-
-# ---------------------------------------------------------------------------
-# numeric validation of a kernel against its operator
-# ---------------------------------------------------------------------------
-
-
-class ApplyCheckReport(Record):
-    """The residual of an apply check and what it cost: ``grid_points``
-    grid points ``log_step`` apart in log x, and ``nodes`` Gauss-Legendre
-    nodes on each side of the kernel jump at each of them."""
-
-    __slots__ = ("max_residual", "grid_points", "log_step", "nodes")
-
-    def to_jsonable(self):
-        return {"max_residual": self.max_residual, "grid_points": self.grid_points,
-                "log_step": self.log_step, "nodes": self.nodes}
-
-
-#: Largest log-x step of ``apply_check``'s grid.  The residual is the
-#: truncation error of ``numeric``'s twelfth-order stencil; for case 9 (the
-#: default support, 1,244 points here):
-#:
-#:     step      0.004    0.003    0.0025   0.002    0.0015   0.001
-#:     residual  3.9e-7   4.2e-8   1.1e-8   1.6e-9   1.3e-10  2.4e-12
-_LOG_STEP = 0.002
-#: Gauss-Legendre nodes on each side of the kernel jump x' = x; u = Kv
-#: matches adaptive quadrature at tolerance 1e-14 to about 1e-14 relative.
-_NODES = 200
-#: Grid points integrated together, so each temporary holds _BLOCK x _NODES
-#: floats (12.8 kB).  Blocks of 64 took a third less time but raised the
-#: peak RSS of the benchmark's oracle ops by about 0.7 MB.
-_BLOCK = 8
-#: Most grid points ``apply_check`` will integrate at: it refuses b/a above
-#: about 2.67e12, as 20,000 points at step 0.0015 did.  The default support
-#: (1, 3) needs 1,244.
-_GRID_BUDGET = 15_000
-
-
-def _kernel_side(kernel: ModelKernel, side: str):
-    """The real part of the kernel's terms on one side of the jump, as a
-    function of an array of log s, or None when that side has no term."""
-    import numpy as np
-
-    sign = -1.0 if side == "rb" else 1.0  # rb: s^z log^p(1/s); lb: s^-z log^p(s)
-    terms = [(t.coeff.as_complex(), -sign * t.z.as_complex(), t.p)
-             for t in kernel.terms if t.side == side]
-    if not terms:
-        return None
-    if not any(c.imag or w.imag for c, w, _ in terms):
-        terms = [(c.real, w.real, p) for c, w, p in terms]
-
-    def k(log_s):
-        total = 0.0
-        for coeff, power, p in terms:
-            term = coeff * np.exp(power * log_s)
-            total = total + (term * (sign * log_s) ** p if p else term)
-        return np.real(total)
-    return k
-
-
-def _apply_kernel(kernel: ModelKernel, v: Callable, support: tuple, x_grid):
-    """u(x) = int_a^b k(x'/x) v(x') dx'/x' at each point of x_grid, with v
-    supported in [a, b]: ``_NODES``-point Gauss-Legendre in log x' on each
-    side of the jump x' = x, ``_BLOCK`` points at a time."""
-    import numpy as np
-
-    from . import numeric as num
-
-    nodes, weights = num.gauss_legendre(_NODES)
-    to_lo, to_hi = (1.0 - nodes) / 2.0, (1.0 + nodes) / 2.0
-    # s = x'/x < 1 (log s < 0) is the rb side, s > 1 the lb side
-    sides = [(clamp, k) for clamp, k in ((np.minimum, _kernel_side(kernel, "rb")),
-                                         (np.maximum, _kernel_side(kernel, "lb")))
-             if k is not None]
-    a, b = support
-    log_a, log_b = math.log(a), math.log(b)
-    u = np.zeros(len(x_grid))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, len(x_grid), _BLOCK):
-            x = x_grid[start:start + _BLOCK, None]
-            log_x = np.log(x)
-            for clamp, k in sides:
-                # this side's part of [log a, log b] in log s, empty when it misses
-                first, last = clamp(log_a - log_x, 0.0), clamp(log_b - log_x, 0.0)
-                log_s = first * to_lo + last * to_hi
-                # a row sum, not BLAS: its first call alone raised peak RSS by 0.15 MB
-                u[start:start + _BLOCK] += (last - first)[:, 0] / 2.0 * (
-                    k(log_s) * v(x * np.exp(log_s)) * weights).sum(axis=1)
-    return u
-
-
-def apply_check(op: BDiffOp, kernel: ModelKernel, v: Callable, support: tuple) -> ApplyCheckReport:
-    """Check numerically that the kernel inverts a constant-coefficient operator.
-
-    Computes u = Kv on a geometric grid over [a/2, 2b], applies the operator
-    by twelfth-order log-grid stencils, and reports the maximum deviation from
-    v on the trimmed grid, with the cost.  v takes an ndarray of points and
-    returns an ndarray of values, or one scalar for all of them (as
-    ``numeric.smooth_bump`` and ``lambda t: 0.0`` do).  u is fixed-order
-    Gauss-Legendre (``_apply_kernel``), so no SciPy is loaded.  The log step
-    is at most ``_LOG_STEP``, where the residual is the stencil's truncation
-    error (about 1.6e-9 for case 9), not the quadrature's.  Repeated
-    differencing amplifies rounding like eps / step^order, which limits the
-    operator order the check can judge: order x 1e-6 bounds the residual up
-    to order 3 (at most 1.9e-8 measured), at order 4 only on some operators
-    ((z+1)...(z+4) reads 1.6e-6, (z+1/2)(z+1)(z+3/2)(z+2) 1.3e-5), and not
-    at order 5 ((z+1/2)(z+1)...(z+5/2) reads 1.1e-2), all at gamma = 0.
-    A support that needs more than ``_GRID_BUDGET`` grid points
-    (b/a above about 2.67e12) is refused with ``ValueError`` before any is
-    built.  Like the rest of the numeric oracle the check is real-only: an
-    operator with a non-real coefficient is refused with ``ValueError``,
-    since ``ModelKernel.evaluate`` keeps only the real part of the kernel.
-    An operator coefficient, kernel exponent or kernel coefficient beyond
-    the float range is refused with ``ValueError`` as well, and a kernel
-    that overflows the float range on the grid raises ``QuadratureError``.
-    """
-    import numpy as np
-
-    from . import numeric as num
-
-    if not op.has_constant_coefficients:
-        raise ValueError("apply_check expects a constant-coefficient operator")
-    if not all(c.is_real for s in op.coeffs for c in s):
-        raise ValueError("apply_check expects real coefficients; a complex kernel stays symbolic")
-    scalars = [c for s in op.coeffs for c in s] + [x for t in kernel.terms for x in (t.z, t.coeff)]
-    if any(max(abs(c.re), abs(c.im)) > sys.float_info.max for c in scalars):
-        raise ValueError("apply_check expects operator and kernel scalars within the float range")
-    a, b = support
-    if not 0 < a < b < math.inf:
-        raise ValueError(f"support must satisfy 0 < a < b < inf, got ({a}, {b})")
-    lo, hi = a / 2.0, b * 2.0
-    width = math.log(4.0 * (b / a))  # log(hi / lo), which may be inf
-    if width / _LOG_STEP > _GRID_BUDGET - 1:
-        raise ValueError(f"support ({a}, {b}) needs more than the budget of "
-                         f"{_GRID_BUDGET} grid points")
-    n = int(math.ceil(width / _LOG_STEP)) + 1
-    x_grid = num.geometric_grid(hi, (lo / hi) ** (1.0 / (n - 1)), n)
-    u = _apply_kernel(kernel, v, support, x_grid)
-    x_out, applied = num.apply_bop_numeric(op, u, x_grid)
-    residual = float(np.max(np.abs(applied - v(x_out))))
-    if not math.isfinite(residual):
-        raise QuadratureError("the kernel overflows the float range on the apply-check grid")
-    return ApplyCheckReport(residual, n, width / (n - 1), _NODES)
 
 
 # ---------------------------------------------------------------------------
@@ -843,122 +686,11 @@ def parametrix_indices(op: BDiffOp, gamma, steps: int) -> ParametrixReport:
     return ParametrixReport(parametrix, r_power, tuple(log))
 
 
-# ---------------------------------------------------------------------------
-# front-face (non-)compactness criterion
-# ---------------------------------------------------------------------------
+def __getattr__(name):
+    # two entry points of numeric stay reachable here, loading NumPy only when
+    # asked for, until ROADMAP item 6 moves perfbench's references to numeric
+    if name not in ("apply_check", "hs_front_face_criterion"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import numeric
 
-
-class HsReport(Record):
-    """Hilbert-Schmidt norm growth of a localized smoothing kernel.
-
-    The truncated squared norm over x in [eps, C] grows like
-    slope * log(1/eps); the slope equals the squared ds/s norm of the
-    front-face restriction, so slope 0 iff the kernel vanishes there.
-    """
-
-    __slots__ = ("slope", "reference", "eps", "norms")
-
-    def to_jsonable(self):
-        return {"slope": self.slope, "reference": self.reference,
-                "eps": self.eps, "norms": self.norms}
-
-
-_HS_LADDER = 4  # lower cutoffs eps, eps/10, ... in the slope regression
-#: Gauss-Legendre nodes on each piece of the ds/s integral.  Over [1/C, 1]
-#: and [1, C] at C = 4 the unit-width bump's slope reads 2.5e-11 low with
-#: 200 nodes and within 1e-14 with 400: the bump's C^infinity edges fall
-#: inside those pieces.
-_HS_NODES = 400
-#: Nodes on a caller's s-support, at whose ends a kernel vanishes to all
-#: orders: 200 read the bump's slope within 1e-14 at every C.
-_HS_SUPPORT_NODES = 200
-#: Nodes on each piece of the dx/x integral.  For the bump and x * bump at
-#: C = 4, 1e3 and 1e10, 100 nodes read every norm within 1e-15 relative of
-#: 1,000 nodes.
-_HS_X_NODES = 100
-#: x values whose kernel rows one call evaluates, so a temporary holds at
-#: most _HS_BLOCK x (s nodes) floats (100 kB over [1/C, C]).  The bump and
-#: x * bump probes at C = 4 raised peak RSS by 0.5 MB in blocks of 16, 0.9 MB
-#: in blocks of 32 (and took twice as long) and 4.0 MB unblocked.
-_HS_BLOCK = 16
-#: Largest accepted support_c.  At C = 1e10 the x-bump norms near 1e19
-#: swamp their 1e-7 increments, and its slope reads 0.
-_HS_MAX_C = 1e10
-
-
-def hs_front_face_criterion(p: Callable, support_c: float, eps: float,
-                            s_support: Optional[tuple] = None) -> HsReport:
-    """Probe the squared Hilbert-Schmidt norm of phi(x) p(x, s) for divergence.
-
-    p must be supported in x <= C, 1/C <= s <= C, and take an (x column) x
-    (s row) pair of arrays, returning an array of their broadcast shape or
-    one scalar for all of them.  The cutoff phi is a smooth plateau with
-    phi(0) = 1, 1 up to C/4 and 0 from C/2.  Norms are accumulated over a
-    geometric ladder of ``_HS_LADDER`` lower cutoffs and regressed against
-    log(1/eps).  Both integrals are fixed-order Gauss-Legendre, so no SciPy
-    is loaded: the ds/s integral on ``_HS_NODES`` nodes in u = log s on each
-    of [-log C, 0] and [0, log C], or on ``_HS_SUPPORT_NODES`` nodes in u
-    over ``s_support = (lo, hi)``, an interval inside [1/C, C] off which p
-    vanishes; the dx/x integral on ``_HS_X_NODES`` nodes in t = log x on
-    each ladder interval, split at C/4 and C/2.  p is called on at most
-    ``_HS_BLOCK`` x values at a time.  Anything but 0 < eps < C and
-    1 < C <= ``_HS_MAX_C``, or an s-support not inside [1/C, C], is refused
-    with ``ValueError``; a norm that is not finite raises ``QuadratureError``.
-    """
-    import numpy as np
-
-    from . import numeric as num
-
-    if not (0 < eps < support_c <= _HS_MAX_C and support_c > 1):
-        raise ValueError(f"need 0 < eps < support_c and 1 < support_c <= {_HS_MAX_C:g}, "
-                         f"got eps={eps}, support_c={support_c}")
-    if s_support is None:
-        log_c = math.log(support_c)
-        s_pieces, s_nodes = ((-log_c, 0.0), (0.0, log_c)), _HS_NODES
-    else:
-        lo, hi = s_support
-        if not 1.0 / support_c <= lo < hi <= support_c:
-            raise ValueError(f"s_support {s_support} is not inside [1/C, C] for C = {support_c}")
-        s_pieces, s_nodes = ((math.log(lo), math.log(hi)),), _HS_SUPPORT_NODES
-
-    def rule(pieces, n):
-        # Gauss-Legendre nodes and weights on each piece [a, b], joined
-        x, w = num.gauss_legendre(n)
-        return (np.concatenate([(a + b) / 2.0 + (b - a) / 2.0 * x for a, b in pieces]),
-                np.concatenate([(b - a) / 2.0 * w for a, b in pieces]))
-
-    log_s, s_weights = rule(s_pieces, s_nodes)
-    s = np.exp(log_s)[None, :]
-    phi = num.plateau_cutoff(support_c / 4.0, support_c / 2.0)
-
-    def inner(x):
-        # the squared ds/s norm of phi(x) p(x, .) at each of the x values
-        out = np.empty(len(x))
-        with np.errstate(over="ignore", invalid="ignore"):
-            for start in range(0, len(x), _HS_BLOCK):
-                block = x[start:start + _HS_BLOCK, None]
-                values = np.broadcast_to(p(block, s), (len(block), s.shape[1]))
-                out[start:start + _HS_BLOCK] = (values * values * s_weights).sum(axis=1)
-        return phi(x) ** 2 * out
-
-    def outer(a, b):
-        # the dx/x integral over [a, b] in t = log x; phi vanishes from C/2
-        cuts = [a] + [c for c in (support_c / 4.0, support_c / 2.0) if a < c < b]
-        cuts.append(min(b, support_c / 2.0))
-        pieces = [(math.log(lo), math.log(hi)) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
-        if not pieces:
-            return 0.0
-        log_x, x_weights = rule(pieces, _HS_X_NODES)
-        return float((inner(np.exp(log_x)) * x_weights).sum())
-
-    eps_list = [eps * 10.0 ** (-k) for k in range(_HS_LADDER)]
-    total = outer(eps_list[0], support_c)
-    norms = [total]
-    for e_prev, e_next in zip(eps_list, eps_list[1:]):
-        total += outer(e_next, e_prev)
-        norms.append(total)
-    reference = float(inner(np.zeros(1))[0])
-    if not all(map(math.isfinite, norms + [reference])):
-        raise QuadratureError("the Hilbert-Schmidt norm is not finite on the probe's nodes")
-    slope = num.line_slope([math.log(1.0 / e) for e in eps_list], norms)
-    return HsReport(slope, reference, tuple(eps_list), tuple(norms))
+    return getattr(numeric, name)

@@ -14,15 +14,15 @@ nothing of bcalc but ``errors`` at the top, and whatever runs a layer
 imports it in its body and calls it through the module.  So a handler
 imports ``indexsets`` for ``indexset complete`` (through this module's
 ``complete``, which a tracer can wrap), ``geometry`` for ``space`` and
-``map``, ``transport`` for ``transport`` and ``boperators`` for ``op``;
-``main`` imports ``serialize`` only when the action reads files, and a
-rational flag, whose string default parses too, imports ``rationals``.
-``json`` loads only to write ``--json`` output or to read files (through
-``serialize``).  NumPy loads only where floats are crunched:
-``apply-check``, ``hs`` and ``verify`` import ``numeric`` inside their
-handlers, and only ``verify`` runs QUADPACK and so loads SciPy; the float
-root finder an ``op`` action runs on an indicial factor of degree two or
-more is pure Python.
+``map``, ``transport`` for ``transport``, ``boperators`` for ``op`` but
+``hs``, and ``numeric`` for ``apply-check`` and ``hs``; ``main`` imports
+``serialize`` only when the action reads files, and a rational flag, whose
+string default parses too, imports ``rationals``.  ``json`` loads only to
+write ``--json`` output or to read files (through ``serialize``).  NumPy
+loads only where floats are crunched, with ``numeric`` in ``apply-check``,
+``hs`` and ``verify``, and only ``verify`` runs QUADPACK and so loads
+SciPy; the float root finder an ``op`` action runs on an indicial factor
+of degree two or more is pure Python.
 Exit codes: 0 success, 1 malformed input (unreadable files or flags, usage
 errors), 2 violated theorem hypothesis (integrability, b-fibration,
 composition condition, inadmissible weight), 3 numeric failure (quadrature,
@@ -268,7 +268,7 @@ def _op_apply_check(args, op):
     kernel = bop.model_inverse(bop.indicial(op), args.gamma)
     a, b = args.support
     v = num.smooth_bump((a + b) / 2.0, (b - a) / 2.0)
-    report = bop.apply_check(op, kernel, v, (a, b))
+    report = num.apply_check(op, kernel, v, (a, b))
     line = f"max residual of P(Kv) - v: {report.max_residual:.12g}"
     return report.to_jsonable(), [line], 0
 
@@ -300,7 +300,6 @@ def _op_parametrix(args, op):
 
 
 def _op_hs(args):
-    from . import boperators as bop
     from . import numeric as num
 
     bump = num.smooth_bump(1.0, 0.5)
@@ -309,7 +308,7 @@ def _op_hs(args):
         "x-bump": lambda x, s: x * bump(s),
         "zero": lambda x, s: 0.0,
     }
-    report = bop.hs_front_face_criterion(kernels[args.kernel], args.support_c, args.eps,
+    report = num.hs_front_face_criterion(kernels[args.kernel], args.support_c, args.eps,
                                          s_support=(0.5, 1.5))
     lines = [
         f"log(1/eps) slope: {report.slope:.12g}",

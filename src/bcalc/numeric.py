@@ -1,9 +1,10 @@
-"""Brute-force numeric oracle: quadrature push-forwards, expansion fits,
-explicit model-ODE solutions, kernel convolution, and log-grid application
-of b-differential operators.
+"""Brute-force numeric oracle of the exact calculus: quadrature
+push-forwards, expansion fits, explicit model-ODE solutions, model kernels
+evaluated and convolved, log-grid application of b-differential operators,
+the apply check of a kernel against its operator and the front-face probe.
 
-Everything here works on geometric grids x_k = C r^k, where x d/dx is an
-exact translation-invariant operation in log x.  Expansion fitting uses the
+Grids are geometric, x_k = C r^k, where x d/dx is an exact
+translation-invariant operation in log x.  Expansion fitting uses the
 basis x^z log^p(1/x) (non-negative logs on (0,1] condition better); the sign
 conversion to coefficients of log^p x is (-1)^p and is exposed explicitly.
 """
@@ -13,6 +14,7 @@ import functools
 import math
 import sys
 import warnings
+from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -29,11 +31,8 @@ from .records import Record, _set
 
 
 class QuadratureSpec(Record):
-    """Adaptive-subdivision quadrature contract (backed by scipy's QUADPACK).
-
-    ``boperators.apply_check`` and ``hs_front_face_criterion`` take none:
-    they integrate by fixed-order Gauss-Legendre (``gauss_legendre``).
-    """
+    """Adaptive-subdivision quadrature contract (backed by scipy's QUADPACK);
+    ``apply_check`` and ``hs_front_face_criterion`` take none."""
 
     __slots__ = ("abs_tol", "rel_tol", "max_depth")
 
@@ -296,7 +295,7 @@ def _next_exponent_after(candidate: IndexSet, cutoff) -> float:
 
 
 _COND_GUARD = 1e13  # largest accepted condition number of the column-scaled basis
-_MERGE_GAP = 1e-2  # exponents closer than this at equal log power are merged
+_MERGE_GAP = Fraction(1e-2)  # exponents closer than this at equal log power are merged
 _DECAY_SUBGRID = 20  # smallest-x points whose residual must decay
 _DECAY_FLOOR = 1e-7  # relative residual below which decay is not checked
 _SQUARINGS = 24  # most squarings of a Gram matrix in _cond2
@@ -496,6 +495,43 @@ def solve_model_ode(c, v: Callable[[float], float], x_grid,
     return out * x_grid ** (-cf)
 
 
+def _kernel_side(kernel, side: str):
+    """The real part of one side of a model kernel, its terms' floats converted once (None when
+    the side has none): rb is sum coeff s^z log^p(1/s) on 0 < s < 1, lb sum coeff s^-z log^p(s)
+    on s > 1.  A float is s, summed in complex arithmetic in the kernel's order, 0.0 off the
+    side: bit for bit the sum of ``KernelTerm.evaluate``.  An ndarray is log s on the side, as
+    ``_apply_kernel``'s quadrature has it, summed by ``np.exp``, in real arithmetic if it can."""
+    rb = side == "rb"
+    terms = [(t.coeff.as_complex(), t.z.as_complex() if rb else -t.z.as_complex(), t.p)
+             for t in kernel.terms if t.side == side]
+    if not terms:
+        return None
+    real = not any(c.imag or w.imag for c, w, _ in terms)
+    array_terms = [(c.real, w.real, p) for c, w, p in terms] if real else terms
+
+    def k(s):
+        if isinstance(s, np.ndarray):
+            total = 0.0
+            for coeff, power, p in array_terms:
+                term = coeff * np.exp(power * s)
+                total = total + (term * (-s if rb else s) ** p if p else term)
+            return np.real(total)
+        if (not 0.0 < s < 1.0) if rb else s <= 1.0:
+            return 0.0
+        base = math.log(1.0 / s) if rb else math.log(s)
+        total = 0j
+        for coeff, power, p in terms:
+            total += coeff * s ** power * base ** p
+        return total.real
+    return k
+
+
+def _kernel_at(kernel) -> Callable:
+    """The kernel at a float s: its one side, or both summed (each 0.0 off its own)."""
+    rb, lb = _kernel_side(kernel, "rb"), _kernel_side(kernel, "lb")
+    return (lambda s: lb(s) + rb(s)) if rb and lb else rb or lb or (lambda s: 0.0)
+
+
 class ConvolutionResult(NamedTuple):
     values: np.ndarray
     prediction_report: Optional[dict]
@@ -515,6 +551,7 @@ def convolve_model_kernels(k1, k2, s_grid, spec: QuadratureSpec = DEFAULT_QUAD,
     """
     lo1, hi1 = k1.support
     lo2, hi2 = k2.support
+    f1, f2 = _kernel_at(k1), _kernel_at(k2)
     s_grid = np.asarray(s_grid, dtype=float)
     values = np.empty_like(s_grid)
     for i, s in enumerate(s_grid):
@@ -526,7 +563,7 @@ def convolve_model_kernels(k1, k2, s_grid, spec: QuadratureSpec = DEFAULT_QUAD,
             continue
 
         def integrand(t, s=s):
-            return k1.evaluate(s / t) * k2.evaluate(t) / t
+            return f1(s / t) * f2(t) / t
 
         ends = [lo, *sorted(p for p in {s, 1.0} if lo < p < hi), hi]
         values[i] = sum(
@@ -586,7 +623,7 @@ def apply_bop_numeric(op, values, x_grid):
     grid.  Returns (trimmed grid, result); ``_HALF_WIDTH`` * order points
     are lost per side.  Warns when the log spacing is too coarse for the
     stencil.  Repeated differencing amplifies rounding like eps / h^order,
-    which limits the order ``boperators.apply_check`` can judge.  Like the
+    which limits the order ``apply_check`` can judge.  Like the
     rest of the numeric oracle it is real-only: an operator with a non-real
     coefficient is refused with ``ValueError``.
     """
@@ -617,3 +654,234 @@ def apply_bop_numeric(op, values, x_grid):
         if j < m:
             d = _dlog(d, h)
     return x_out, total
+
+
+# ---------------------------------------------------------------------------
+# numeric validation of a kernel against its operator
+# ---------------------------------------------------------------------------
+
+
+class ApplyCheckReport(Record):
+    """The residual of an apply check and what it cost: ``grid_points``
+    grid points ``log_step`` apart in log x, and ``nodes`` Gauss-Legendre
+    nodes on each side of the kernel jump at each of them."""
+
+    __slots__ = ("max_residual", "grid_points", "log_step", "nodes")
+
+    def to_jsonable(self):
+        return {name: getattr(self, name) for name in self.__slots__}
+
+
+#: Largest log-x step of ``apply_check``'s grid.  The residual is the
+#: truncation error of ``_dlog``'s twelfth-order stencil; for case 9 (the
+#: default support, 1,244 points here):
+#:
+#:     step      0.004    0.003    0.0025   0.002    0.0015   0.001
+#:     residual  3.9e-7   4.2e-8   1.1e-8   1.6e-9   1.3e-10  2.4e-12
+_LOG_STEP = 0.002
+#: Gauss-Legendre nodes on each side of the kernel jump x' = x; u = Kv
+#: matches adaptive quadrature at tolerance 1e-14 to about 1e-14 relative.
+_NODES = 200
+#: Grid points integrated together, so each temporary holds _BLOCK x _NODES
+#: floats (12.8 kB).  Blocks of 64 took a third less time but raised the
+#: peak RSS of the benchmark's oracle ops by about 0.7 MB.
+_BLOCK = 8
+#: Most grid points ``apply_check`` will integrate at: it refuses b/a above
+#: about 2.67e12, as 20,000 points at step 0.0015 did.  The default support
+#: (1, 3) needs 1,244.
+_GRID_BUDGET = 15_000
+
+
+def _apply_kernel(kernel, v: Callable, support: tuple, x_grid):
+    """u(x) = int_a^b k(x'/x) v(x') dx'/x' at each point of x_grid, with v
+    supported in [a, b]: ``_NODES``-point Gauss-Legendre in log x' on each
+    side of the jump x' = x, ``_BLOCK`` points at a time."""
+    nodes, weights = gauss_legendre(_NODES)
+    to_lo, to_hi = (1.0 - nodes) / 2.0, (1.0 + nodes) / 2.0
+    # s = x'/x < 1 (log s < 0) is the rb side, s > 1 the lb side
+    sides = [(clamp, k) for clamp, k in ((np.minimum, _kernel_side(kernel, "rb")),
+                                         (np.maximum, _kernel_side(kernel, "lb")))
+             if k is not None]
+    a, b = support
+    log_a, log_b = math.log(a), math.log(b)
+    u = np.zeros(len(x_grid))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(x_grid), _BLOCK):
+            x = x_grid[start:start + _BLOCK, None]
+            log_x = np.log(x)
+            for clamp, k in sides:
+                # this side's part of [log a, log b] in log s, empty when it misses
+                first, last = clamp(log_a - log_x, 0.0), clamp(log_b - log_x, 0.0)
+                log_s = first * to_lo + last * to_hi
+                # a row sum, not BLAS: its first call alone raised peak RSS by 0.15 MB
+                u[start:start + _BLOCK] += (last - first)[:, 0] / 2.0 * (
+                    k(log_s) * v(x * np.exp(log_s)) * weights).sum(axis=1)
+    return u
+
+
+def apply_check(op, kernel, v: Callable, support: tuple) -> ApplyCheckReport:
+    """Check numerically that the kernel inverts a constant-coefficient operator.
+
+    Computes u = Kv on a geometric grid over [a/2, 2b], applies the operator
+    by twelfth-order log-grid stencils, and reports the maximum deviation from
+    v on the trimmed grid, with the cost.  v takes an ndarray of points and
+    returns an ndarray of values, or one scalar for all of them (as
+    ``smooth_bump`` and ``lambda t: 0.0`` do).  u is fixed-order
+    Gauss-Legendre (``_apply_kernel``), so no SciPy is loaded.  The log step
+    is at most ``_LOG_STEP``, where the residual is the stencil's truncation
+    error (about 1.6e-9 for case 9), not the quadrature's.  Repeated
+    differencing amplifies rounding like eps / step^order, which limits the
+    operator order the check can judge: order x 1e-6 bounds the residual up
+    to order 3 (at most 1.9e-8 measured), at order 4 only on some operators
+    ((z+1)...(z+4) reads 1.6e-6, (z+1/2)(z+1)(z+3/2)(z+2) 1.3e-5), and not
+    at order 5 ((z+1/2)(z+1)...(z+5/2) reads 1.1e-2), all at gamma = 0.
+    A support that needs more than ``_GRID_BUDGET`` grid points
+    (b/a above about 2.67e12) is refused with ``ValueError`` before any is
+    built.  Like the rest of the numeric oracle the check is real-only: an
+    operator with a non-real coefficient is refused with ``ValueError``, as
+    ``_kernel_side`` keeps only the real part of the kernel, and so is an
+    operator coefficient, kernel exponent or kernel coefficient beyond the
+    float range; a kernel that overflows the float range on the grid raises
+    ``QuadratureError``.
+    """
+    if not op.has_constant_coefficients:
+        raise ValueError("apply_check expects a constant-coefficient operator")
+    if not all(c.is_real for s in op.coeffs for c in s):
+        raise ValueError("apply_check expects real coefficients; a complex kernel stays symbolic")
+    scalars = [c for s in op.coeffs for c in s] + [x for t in kernel.terms for x in (t.z, t.coeff)]
+    if any(max(abs(c.re), abs(c.im)) > sys.float_info.max for c in scalars):
+        raise ValueError("apply_check expects operator and kernel scalars within the float range")
+    a, b = support
+    if not 0 < a < b < math.inf:
+        raise ValueError(f"support must satisfy 0 < a < b < inf, got ({a}, {b})")
+    lo, hi = a / 2.0, b * 2.0
+    width = math.log(4.0 * (b / a))  # log(hi / lo), which may be inf
+    if width / _LOG_STEP > _GRID_BUDGET - 1:
+        raise ValueError(f"support ({a}, {b}) needs more than the budget of "
+                         f"{_GRID_BUDGET} grid points")
+    n = int(math.ceil(width / _LOG_STEP)) + 1
+    x_grid = geometric_grid(hi, (lo / hi) ** (1.0 / (n - 1)), n)
+    u = _apply_kernel(kernel, v, support, x_grid)
+    x_out, applied = apply_bop_numeric(op, u, x_grid)
+    residual = float(np.max(np.abs(applied - v(x_out))))
+    if not math.isfinite(residual):
+        raise QuadratureError("the kernel overflows the float range on the apply-check grid")
+    return ApplyCheckReport(residual, n, width / (n - 1), _NODES)
+
+
+# ---------------------------------------------------------------------------
+# front-face (non-)compactness criterion
+# ---------------------------------------------------------------------------
+
+
+class HsReport(Record):
+    """Hilbert-Schmidt norm growth of a localized smoothing kernel.
+
+    The truncated squared norm over x in [eps, C] grows like
+    slope * log(1/eps); the slope equals the squared ds/s norm of the
+    front-face restriction, so slope 0 iff the kernel vanishes there.
+    """
+
+    __slots__ = ("slope", "reference", "eps", "norms")
+
+    def to_jsonable(self):
+        return {name: getattr(self, name) for name in self.__slots__}
+
+
+_HS_LADDER = 4  # lower cutoffs eps, eps/10, ... in the slope regression
+#: Gauss-Legendre nodes on each piece of the ds/s integral.  Over [1/C, 1]
+#: and [1, C] at C = 4 the unit-width bump's slope reads 2.5e-11 low with
+#: 200 nodes and within 1e-14 with 400: the bump's C^infinity edges fall
+#: inside those pieces.
+_HS_NODES = 400
+#: Nodes on a caller's s-support, at whose ends a kernel vanishes to all
+#: orders: 200 read the bump's slope within 1e-14 at every C.
+_HS_SUPPORT_NODES = 200
+#: Nodes on each piece of the dx/x integral.  For the bump and x * bump at
+#: C = 4, 1e3 and 1e10, 100 nodes read every norm within 1e-15 relative of
+#: 1,000 nodes.
+_HS_X_NODES = 100
+#: x values whose kernel rows one call evaluates, so a temporary holds at
+#: most _HS_BLOCK x (s nodes) floats (100 kB over [1/C, C]).  The bump and
+#: x * bump probes at C = 4 raised peak RSS by 0.5 MB in blocks of 16, 0.9 MB
+#: in blocks of 32 (and took twice as long) and 4.0 MB unblocked.
+_HS_BLOCK = 16
+#: Largest accepted support_c.  At C = 1e10 the x-bump norms near 1e19
+#: swamp their 1e-7 increments, and its slope reads 0.
+_HS_MAX_C = 1e10
+
+
+def hs_front_face_criterion(p: Callable, support_c: float, eps: float,
+                            s_support: Optional[tuple] = None) -> HsReport:
+    """Probe the squared Hilbert-Schmidt norm of phi(x) p(x, s) for divergence.
+
+    p must be supported in x <= C, 1/C <= s <= C, and take an (x column) x
+    (s row) pair of arrays, returning an array of their broadcast shape or
+    one scalar for all of them.  The cutoff phi is a smooth plateau with
+    phi(0) = 1, 1 up to C/4 and 0 from C/2.  Norms are accumulated over a
+    geometric ladder of ``_HS_LADDER`` lower cutoffs and regressed against
+    log(1/eps).  Both integrals are fixed-order Gauss-Legendre, so no SciPy
+    is loaded: the ds/s integral on ``_HS_NODES`` nodes in u = log s on each
+    of [-log C, 0] and [0, log C], or on ``_HS_SUPPORT_NODES`` nodes in u
+    over ``s_support = (lo, hi)``, an interval inside [1/C, C] off which p
+    vanishes; the dx/x integral on ``_HS_X_NODES`` nodes in t = log x on
+    each ladder interval, split at C/4 and C/2.  p is called on at most
+    ``_HS_BLOCK`` x values at a time.  Anything but 0 < eps < C, with a finite
+    1/(eps 10^-3), and 1 < C <= ``_HS_MAX_C``, or an s-support not inside [1/C, C],
+    is refused with ``ValueError``; a norm that is not finite raises ``QuadratureError``.
+    """
+    if not (0 < eps < support_c <= _HS_MAX_C and support_c > 1):
+        raise ValueError(f"need 0 < eps < support_c and 1 < support_c <= {_HS_MAX_C:g}, "
+                         f"got eps={eps}, support_c={support_c}")
+    eps_list = [eps * 10.0 ** (-k) for k in range(_HS_LADDER)]
+    if not (eps_list[-1] > 0 and 1.0 / eps_list[-1] < math.inf):
+        raise ValueError(f"need a finite 1/(eps * 1e-3): eps above about 5.6e-306, got eps={eps}")
+    if s_support is None:
+        log_c = math.log(support_c)
+        s_pieces, s_nodes = ((-log_c, 0.0), (0.0, log_c)), _HS_NODES
+    else:
+        lo, hi = s_support
+        if not 1.0 / support_c <= lo < hi <= support_c:
+            raise ValueError(f"s_support {s_support} is not inside [1/C, C] for C = {support_c}")
+        s_pieces, s_nodes = ((math.log(lo), math.log(hi)),), _HS_SUPPORT_NODES
+
+    def rule(pieces, n):
+        # Gauss-Legendre nodes and weights on each piece [a, b], joined
+        x, w = gauss_legendre(n)
+        return (np.concatenate([(a + b) / 2.0 + (b - a) / 2.0 * x for a, b in pieces]),
+                np.concatenate([(b - a) / 2.0 * w for a, b in pieces]))
+
+    log_s, s_weights = rule(s_pieces, s_nodes)
+    s = np.exp(log_s)[None, :]
+    phi = plateau_cutoff(support_c / 4.0, support_c / 2.0)
+
+    def inner(x):
+        # the squared ds/s norm of phi(x) p(x, .) at each of the x values
+        out = np.empty(len(x))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, len(x), _HS_BLOCK):
+                block = x[start:start + _HS_BLOCK, None]
+                values = np.broadcast_to(p(block, s), (len(block), s.shape[1]))
+                out[start:start + _HS_BLOCK] = (values * values * s_weights).sum(axis=1)
+        return phi(x) ** 2 * out
+
+    def outer(a, b):
+        # the dx/x integral over [a, b] in t = log x; phi vanishes from C/2
+        cuts = [a] + [c for c in (support_c / 4.0, support_c / 2.0) if a < c < b]
+        cuts.append(min(b, support_c / 2.0))
+        pieces = [(math.log(lo), math.log(hi)) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
+        if not pieces:
+            return 0.0
+        log_x, x_weights = rule(pieces, _HS_X_NODES)
+        return float((inner(np.exp(log_x)) * x_weights).sum())
+
+    total = outer(eps_list[0], support_c)
+    norms = [total]
+    for e_prev, e_next in zip(eps_list, eps_list[1:]):
+        total += outer(e_next, e_prev)
+        norms.append(total)
+    reference = float(inner(np.zeros(1))[0])
+    if not all(map(math.isfinite, norms + [reference])):
+        raise QuadratureError("the Hilbert-Schmidt norm is not finite on the probe's nodes")
+    slope = line_slope([math.log(1.0 / e) for e in eps_list], norms)
+    return HsReport(slope, reference, tuple(eps_list), tuple(norms))

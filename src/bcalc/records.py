@@ -5,14 +5,13 @@ families, face lattices, b-maps, blow-ups and transport reports; the
 b-operators, their roots and indicial data, model kernels and kernel terms,
 full-calculus descriptors and the parametrix, apply-check and
 Hilbert-Schmidt reports; the numeric oracle's quadrature specs, sampled
-functions, kernel windows and fitted expansions; and the acceptance case
-results.  The two numeric results that hold arrays, ``Sampled1D`` and
-``ConvolutionResult``, are named tuples instead, compared field by field.
+functions and fitted expansions; and the acceptance case results.  The two
+numeric results that hold arrays, ``Sampled1D`` and ``ConvolutionResult``,
+are named tuples instead, compared field by field.
 
 A record's fields are its class's ``__slots__``, in order, each set once
-when it is built, except that a slot whose name starts with ``_`` is a
-cache: it may be filled later and is left out of all of the following.  A
-record behaves as a frozen dataclass with the same fields would:
+when it is built.  A record behaves as a frozen dataclass with the same
+fields would:
 
 * ``==`` holds between two records of the same class whose fields are equal,
   and is ``NotImplemented`` against any other object;
@@ -22,10 +21,10 @@ record behaves as a frozen dataclass with the same fields would:
 * ``copy`` and ``pickle`` rebuild a record through its constructor.
 
 A record class with defaults or checks writes its own ``__init__`` and sets
-each field, and fills each cache, with ``_set``; any other takes its fields
-positionally.  This module imports nothing and generates no code, so
-``bcalc`` starts without ``dataclasses``, which loads ``inspect``, ``ast``
-and ``dis`` and compiles the methods of each class it decorates.
+each field with ``_set``; any other takes its fields positionally.  This
+module imports nothing and generates no code, so ``bcalc`` starts without
+``dataclasses``, which loads ``inspect``, ``ast`` and ``dis`` and compiles
+the methods of each class it decorates.
 """
 
 _set = object.__setattr__
@@ -33,20 +32,16 @@ _set = object.__setattr__
 
 class Record:
     __slots__ = ()
-    _fields = ()
-
-    def __init_subclass__(cls):
-        cls._fields = tuple([name for name in cls.__slots__ if not name.startswith("_")])
 
     def __init__(self, *values):
-        if len(values) != len(self._fields):
-            raise TypeError(f"{type(self).__name__} takes {len(self._fields)} fields, "
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} fields, "
                             f"got {len(values)}")
-        for name, value in zip(self._fields, values):
+        for name, value in zip(self.__slots__, values):
             _set(self, name, value)
 
     def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
+        return tuple([getattr(self, name) for name in self.__slots__])
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -57,7 +52,7 @@ class Record:
         return hash(self._values())
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value):

@@ -1,6 +1,11 @@
+import ast
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import hypothesis.strategies as st
 import mpmath
@@ -395,12 +400,17 @@ def test_split_reassembles_spectrum():
 # -- model inverses ----------------------------------------------------------------
 
 
+def _kernel_value(kernel, s):
+    """k(s) by the scalar reference: the real part of the sum of ``KernelTerm.evaluate``."""
+    return sum([t.evaluate(s) for t in kernel.terms], 0.0).real
+
+
 def test_model_kernel_first_order():
     c = Fraction(1, 2)
     kernel = bop.model_inverse(bop.indicial(op_from([c], [1])), 0)
     assert kernel.terms == (bop.KernelTerm(CR.of(c), 0, "rb", CR.of(1)),)
-    assert kernel.evaluate(0.25) == pytest.approx(0.5)
-    assert kernel.evaluate(2.0) == 0.0
+    assert _kernel_value(kernel, 0.25) == pytest.approx(0.5)
+    assert _kernel_value(kernel, 2.0) == 0.0
 
 
 def test_model_kernel_complex_coefficient():
@@ -413,15 +423,15 @@ def test_model_kernel_double_root_makes_log():
     kernel = bop.model_inverse(bop.indicial(op_from([1], [2], [1])), 0)  # (z+1)^2
     assert kernel.terms == (bop.KernelTerm(CR.of(1), 1, "rb", CR.of(1)),)
     s = 0.3
-    assert kernel.evaluate(s) == pytest.approx(s * math.log(1 / s))
+    assert _kernel_value(kernel, s) == pytest.approx(s * math.log(1 / s))
 
 
 def test_model_kernel_two_sided():
     kernel = bop.model_inverse(bop.indicial(op_from([-1], [0], [1])), 0)  # z^2 - 1
     sides = {(t.side, t.z.re, t.coeff.re) for t in kernel.terms}
     assert sides == {("rb", Fraction(1), Fraction(-1, 2)), ("lb", Fraction(1), Fraction(-1, 2))}
-    assert kernel.evaluate(0.5) == pytest.approx(-0.25)
-    assert kernel.evaluate(2.0) == pytest.approx(-0.25)
+    assert _kernel_value(kernel, 0.5) == pytest.approx(-0.25)
+    assert _kernel_value(kernel, 2.0) == pytest.approx(-0.25)
 
 
 def test_double_root_kernel_matches_self_convolution():
@@ -430,7 +440,7 @@ def test_double_root_kernel_matches_self_convolution():
     kd = bop.model_inverse(bop.indicial(op_from([c * c], [2 * c], [1])), 0)  # (z+c)^2
     grid = np.linspace(0.05, 0.95, 10)
     conv = num.convolve_model_kernels(k1, k1, grid)
-    expected = np.array([kd.evaluate(s) for s in grid])
+    expected = np.array([_kernel_value(kd, s) for s in grid])
     assert np.max(np.abs(conv.values - expected)) < 1e-9
 
 
@@ -441,7 +451,7 @@ def test_model_kernel_for_irrational_roots():
     for t in kernel.terms:
         assert abs(float(t.z.re) - math.sqrt(2.0)) < 1e-9
         assert abs(float(t.coeff.re) + amp) < 1e-12
-    report = bop.apply_check(op, kernel, num.smooth_bump(2.0, 1.0), (1.0, 3.0))
+    report = num.apply_check(op, kernel, num.smooth_bump(2.0, 1.0), (1.0, 3.0))
     assert report.max_residual < 2e-5
 
 
@@ -575,11 +585,38 @@ def test_model_inverse_rejects_weight_on_root():
 # -- apply_check ----------------------------------------------------------------------
 
 
+def test_boperators_is_exact_code_only():
+    # the float oracle is numeric's; boperators names two of its entry points
+    # in a module __getattr__, and imports nothing float anywhere else
+    tree = ast.parse(Path(bop.__file__).read_text())
+    hook = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "__getattr__"]
+    assert len(hook) == 1
+    hooked = {id(node) for node in ast.walk(hook[0])}
+    imported = set()
+    for node in ast.walk(tree):
+        if id(node) not in hooked and isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif id(node) not in hooked and isinstance(node, ast.ImportFrom):
+            imported.update(f"{node.module}.{alias.name}" if node.module else alias.name
+                            for alias in node.names)
+    assert not {name for name in imported if "numpy" in name or "numeric" in name}, imported
+    proc = subprocess.run([sys.executable, "-c", "import sys, bcalc.boperators; "
+                           "print([m for m in ('numpy', 'bcalc.numeric') if m in sys.modules])"],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stderr
+    assert bop.apply_check is num.apply_check
+    assert bop.hs_front_face_criterion is num.hs_front_face_criterion
+    for name in ("_apply_kernel", "ApplyCheckReport", "HsReport", "_HS_NODES", "integrate"):
+        assert not hasattr(bop, name), name
+
+
+
 def test_apply_check_inverts_first_order():
     op = op_from([1], [1])
     kernel = bop.model_inverse(bop.indicial(op), 0)
     v = num.smooth_bump(2.0, 1.0)
-    report = bop.apply_check(op, kernel, v, (1.0, 3.0))
+    report = num.apply_check(op, kernel, v, (1.0, 3.0))
     assert report.max_residual < 1e-6
 
 
@@ -591,14 +628,14 @@ def test_apply_check_flags_wrong_side():
         for t in kernel.terms
     ))
     v = num.smooth_bump(2.0, 1.0)
-    report = bop.apply_check(op, swapped, v, (1.0, 3.0))
+    report = num.apply_check(op, swapped, v, (1.0, 3.0))
     assert report.max_residual > 0.01
 
 
 def test_apply_check_zero_input():
     op = op_from([1], [1])
     kernel = bop.model_inverse(bop.indicial(op), 0)
-    report = bop.apply_check(op, kernel, lambda t: 0.0, (1.0, 3.0))
+    report = num.apply_check(op, kernel, lambda t: 0.0, (1.0, 3.0))
     assert report.max_residual == 0.0
 
 
@@ -606,7 +643,7 @@ def test_apply_check_rejects_variable_coefficients():
     op = op_from([1, 1], [1])
     kernel = bop.model_inverse(bop.indicial(op), 0)
     with pytest.raises(ValueError):
-        bop.apply_check(op, kernel, lambda t: 0.0, (1.0, 3.0))
+        num.apply_check(op, kernel, lambda t: 0.0, (1.0, 3.0))
 
 
 def test_apply_check_rejects_non_real_coefficients():
@@ -614,11 +651,11 @@ def test_apply_check_rejects_non_real_coefficients():
     op = op_from([CR.of(1, 1)], [1])
     kernel = bop.model_inverse(bop.indicial(op), 0)
     with pytest.raises(ValueError, match="real"):
-        bop.apply_check(op, kernel, num.smooth_bump(2.0, 1.0), (1.0, 3.0))
+        num.apply_check(op, kernel, num.smooth_bump(2.0, 1.0), (1.0, 3.0))
     # a real operator with the conjugate roots -1 +- i has a real kernel and is checked
     op = op_from([2], [2], [1])
     kernel = bop.model_inverse(bop.indicial(op), 0)
-    assert bop.apply_check(op, kernel, num.smooth_bump(2.0, 1.0), (1.0, 3.0)).max_residual < 1e-5
+    assert num.apply_check(op, kernel, num.smooth_bump(2.0, 1.0), (1.0, 3.0)).max_residual < 1e-5
 
 
 # case 9's three first-order kernels and (z+5/4)(z+11/4) below, between and
@@ -636,13 +673,13 @@ def test_apply_check_kernel_integral_matches_adaptive_quadrature(op, gamma):
     kernel = bop.model_inverse(bop.indicial(op), gamma)
     v = num.smooth_bump(2.0, 1.0)
     x = np.geomspace(0.6, 5.5, 7)
-    u = bop._apply_kernel(kernel, v, (1.0, 3.0), x)
+    u = num._apply_kernel(kernel, v, (1.0, 3.0), x)
     reference = []
     for xi in x:
         with warnings.catch_warnings():  # QUADPACK may warn of roundoff at 1e-14
             warnings.simplefilter("ignore")
             reference.append(scipy.integrate.quad(
-                lambda t: kernel.evaluate(t / xi) * v(t) / t, 1.0, 3.0,
+                lambda t: _kernel_value(kernel, t / xi) * v(t) / t, 1.0, 3.0,
                 points=[xi] if 1.0 < xi < 3.0 else None, epsabs=1e-14, epsrel=1e-14,
                 limit=500)[0])
     reference = np.array(reference)
@@ -656,9 +693,9 @@ def test_apply_check_separates_a_kernel_off_by_one_part_in_ten_million():
     scaled = bop.ModelKernel((bop.KernelTerm(
         term.z, term.p, term.side, term.coeff * CR.of(1 + Fraction(1, 10 ** 7))),))
     v = num.smooth_bump(2.0, 1.0)
-    exact = bop.apply_check(op, kernel, v, (1.0, 3.0))
+    exact = num.apply_check(op, kernel, v, (1.0, 3.0))
     assert exact.max_residual < 2e-8
-    assert bop.apply_check(op, scaled, v, (1.0, 3.0)).max_residual > 5e-8
+    assert num.apply_check(op, scaled, v, (1.0, 3.0)).max_residual > 5e-8
     assert (exact.grid_points, exact.nodes) == (1244, 200)
     assert exact.log_step == pytest.approx(math.log(12.0) / 1243) and exact.log_step <= 0.002
 
@@ -671,24 +708,24 @@ def test_apply_check_separates_a_kernel_off_by_one_part_in_a_hundred_million():
     scaled = bop.ModelKernel((bop.KernelTerm(
         term.z, term.p, term.side, term.coeff * CR.of(1 + Fraction(1, 10 ** 8))),))
     v = num.smooth_bump(2.0, 1.0)
-    assert bop.apply_check(op, kernel, v, (1.0, 3.0)).max_residual < 2e-9
-    assert bop.apply_check(op, scaled, v, (1.0, 3.0)).max_residual > 8e-9
+    assert num.apply_check(op, kernel, v, (1.0, 3.0)).max_residual < 2e-9
+    assert num.apply_check(op, scaled, v, (1.0, 3.0)).max_residual > 8e-9
 
 
 def test_apply_check_budget_refuses_the_supports_it_always_refused():
     # b/a above about 2.67e12 needs more than _GRID_BUDGET points at log step 0.002
     op = op_from([1], [1])
     kernel = bop.model_inverse(bop.indicial(op), 0)
-    report = bop.apply_check(op, kernel, lambda t: 0.0, (1.0, 2e12))
+    report = num.apply_check(op, kernel, lambda t: 0.0, (1.0, 2e12))
     assert report.max_residual == 0.0 and report.grid_points == 14857
     with pytest.raises(ValueError, match="budget of 15000 grid points"):
-        bop.apply_check(op, kernel, lambda t: 0.0, (1.0, 3e12))
+        num.apply_check(op, kernel, lambda t: 0.0, (1.0, 3e12))
 
 
 def test_apply_check_below_both_roots_reads_the_stencil_floor():
     # the kernel grows like s^(11/4) on s > 1; adaptive quadrature read 8.6e-5 here
     op = op_from([Fraction(55, 16)], [4], [1])
-    report = bop.apply_check(op, bop.model_inverse(bop.indicial(op), -3),
+    report = num.apply_check(op, bop.model_inverse(bop.indicial(op), -3),
                              num.smooth_bump(2.0, 1.0), (1.0, 3.0))
     assert report.max_residual < 1e-7
 
@@ -697,7 +734,7 @@ def test_apply_check_refuses_a_kernel_that_overflows_the_grid():
     # weight -3000 below the root -2000: the kernel grows like s^2000 on s > 1
     op = op_from([2000], [1])
     with pytest.raises(QuadratureError, match="overflow"):
-        bop.apply_check(op, bop.model_inverse(bop.indicial(op), -3000),
+        num.apply_check(op, bop.model_inverse(bop.indicial(op), -3000),
                         num.smooth_bump(2.0, 1.0), (1.0, 3.0))
 
 
@@ -814,7 +851,7 @@ HS_BUMP = 0.50682472638052931
 
 def test_hs_zero_kernel():
     # a scalar kernel value stands for every point of the grid
-    report = bop.hs_front_face_criterion(lambda x, s: 0.0, 4.0, 1e-3)
+    report = num.hs_front_face_criterion(lambda x, s: 0.0, 4.0, 1e-3)
     assert report.slope == pytest.approx(0.0, abs=1e-12)
     assert report.reference == pytest.approx(0.0, abs=1e-12)
     assert all(n == pytest.approx(0.0, abs=1e-12) for n in report.norms)
@@ -822,7 +859,7 @@ def test_hs_zero_kernel():
 
 def test_hs_vanishing_restriction_has_bounded_norm():
     bump = num.smooth_bump(1.0, 0.5)
-    report = bop.hs_front_face_criterion(lambda x, s: x * bump(s), 4.0, 1e-2)
+    report = num.hs_front_face_criterion(lambda x, s: x * bump(s), 4.0, 1e-2)
     assert abs(report.slope) < 1e-4
     assert report.reference == pytest.approx(0.0, abs=1e-12)
 
@@ -830,16 +867,16 @@ def test_hs_vanishing_restriction_has_bounded_norm():
 def test_hs_slopes_match_the_front_face_integrals():
     bump = num.smooth_bump(1.0, 0.5)
     # over [1/C, C], the bump's C^infinity edges inside the pieces
-    report = bop.hs_front_face_criterion(lambda x, s: bump(s), 4.0, 1e-3)
+    report = num.hs_front_face_criterion(lambda x, s: bump(s), 4.0, 1e-3)
     assert abs(report.slope - HS_BUMP) < 1e-13
     assert abs(report.reference - HS_BUMP) < 1e-13
     for c in (4.0, 1e3, 1e10):
-        report = bop.hs_front_face_criterion(lambda x, s: bump(s), c, 1e-3, s_support=(0.5, 1.5))
+        report = num.hs_front_face_criterion(lambda x, s: bump(s), c, 1e-3, s_support=(0.5, 1.5))
         assert abs(report.slope - HS_BUMP) < 1e-13, c
     # x * bump: the norms' increments vanish like eps^2, and QUADPACK read the
     # slope of their regression as 3.3125587e-8
     for kwargs in ({}, {"s_support": (0.5, 1.5)}):
-        report = bop.hs_front_face_criterion(lambda x, s: x * bump(s), 4.0, 1e-3, **kwargs)
+        report = num.hs_front_face_criterion(lambda x, s: x * bump(s), 4.0, 1e-3, **kwargs)
         assert report.slope == pytest.approx(3.3125587e-8, rel=1e-5), kwargs
 
 
@@ -857,27 +894,31 @@ def test_acceptance_case_12_reads_the_bump_slope_to_rounding(monkeypatch):
 
 def test_hs_calls_the_kernel_on_blocks_of_x():
     bump = num.smooth_bump(1.0, 0.5)
-    for kwargs, s_nodes in (({}, 2 * bop._HS_NODES), ({"s_support": (0.5, 1.5)}, bop._HS_SUPPORT_NODES)):
+    for kwargs, s_nodes in (({}, 2 * num._HS_NODES), ({"s_support": (0.5, 1.5)}, num._HS_SUPPORT_NODES)):
         shapes = []
 
         def kernel(x, s):
             shapes.append(np.broadcast(x, s).shape)
             return x * bump(s)
 
-        bop.hs_front_face_criterion(kernel, 4.0, 1e-3, **kwargs)
+        num.hs_front_face_criterion(kernel, 4.0, 1e-3, **kwargs)
         # an (x column) x (s row) grid, at most _HS_BLOCK x values to a call
         assert all(len(shape) == 2 and shape[1] == s_nodes for shape in shapes), kwargs
-        assert max(shape[0] for shape in shapes) == bop._HS_BLOCK <= 32, kwargs
+        assert max(shape[0] for shape in shapes) == num._HS_BLOCK <= 32, kwargs
 
 
 def test_hs_refuses_what_it_cannot_integrate():
     with pytest.raises(QuadratureError):
-        bop.hs_front_face_criterion(lambda x, s: np.nan * s, 4.0, 1e-3)
+        num.hs_front_face_criterion(lambda x, s: np.nan * s, 4.0, 1e-3)
     for c, eps, support in ((1.0, 0.5, None), (0.5, 1e-3, None), (4.0, 4.0, None),
                             (1e11, 1e-3, None), (4.0, 1e-3, (5.0, 6.0)), (4.0, 1e-3, (1.0, 1.0)),
                             (1.5, 1e-3, (0.5, 1.5)), (4.0, 1e-3, (0.2, 1.0))):
         with pytest.raises(ValueError):
-            bop.hs_front_face_criterion(lambda x, s: 0.0, c, eps, s_support=support)
+            num.hs_front_face_criterion(lambda x, s: 0.0, c, eps, s_support=support)
+    # the bottom rung eps * 1e-3 needs a finite reciprocal for the regression's log(1/e)
+    for eps in (5e-306, 1e-320, 5e-324):
+        with pytest.raises(ValueError, match="finite 1/"):
+            num.hs_front_face_criterion(lambda x, s: 0.0, 4.0, eps)
 
 
 def test_polynomial_roots_admits_a_quadratic_with_4000_digit_coefficients():

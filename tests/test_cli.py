@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from bcalc import boperators as bop
 from bcalc import cli, rootfinder, serialize, verify
 from bcalc import geometry as geo
+from bcalc import numeric as num
 from bcalc.cli import main
 from bcalc.errors import (
     ConditioningError,
@@ -381,6 +383,22 @@ def test_op_hs_samples_the_kernel_for_a_wide_support(capsys):
         assert run(capsys, "op", "hs", "--support-c", c) == (0, (
             "log(1/eps) slope: 0.506824726381\n"
             "front-face squared norm: 0.506824726381\n")), c
+
+
+def test_op_hs_refuses_an_eps_whose_bottom_rung_has_no_finite_reciprocal(capsys):
+    # the ladder's bottom cutoff is eps * 1e-3: below about 5.6e-309 its
+    # reciprocal overflowed and the slope printed nan with exit 0, and at
+    # 5e-324 it underflowed to 0 ("math domain error")
+    for eps in ("5e-306", "1e-320", "5e-324"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["op", "hs", "--eps", eps]) == 1, eps
+        captured = capsys.readouterr()
+        assert not caught and captured.out == "", eps
+        assert len(captured.err.strip().splitlines()) == 1, eps
+    assert run(capsys, "op", "hs", "--eps", "6e-306") == (0, (
+        "log(1/eps) slope: 0.506824726381\n"
+        "front-face squared norm: 0.506824726381\n"))
 
 
 def test_readme_redirect_examples_write_what_the_next_line_reads(tmp_path, monkeypatch, capsys):
@@ -763,9 +781,8 @@ print(json.dumps([code, sorted(m for m in loaded if m.split(".")[0] == "bcalc"),
     assert loads("op", "specb", cquad) == core | {"boperators", "rootfinder"}
     # the apply check crunches floats with NumPy, and loads no SciPy
     assert loads("op", "apply-check", op, numpy=True) == core | {"boperators", "numeric"}
-    # so does the HS probe, which reads no file
-    assert loads("op", "hs", numpy=True, reads_json=False) == (
-        core - {"serialize"} | {"boperators", "numeric"})
+    # so does the HS probe, which reads no file and needs no exact calculus
+    assert loads("op", "hs", numpy=True, reads_json=False) == core - {"serialize"} | {"numeric"}
     # the acceptance suite's layers, numeric among them, are records too
     # (NumPy itself loads inspect)
     proc = subprocess.run(
@@ -927,7 +944,7 @@ def test_numeric_failure_is_exit_3(tmp_path, capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise QuadratureError("quadrature did not converge")
 
-    monkeypatch.setattr(bop, "hs_front_face_criterion", fail)
+    monkeypatch.setattr(num, "hs_front_face_criterion", fail)
     assert main(["op", "hs"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

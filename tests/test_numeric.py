@@ -511,34 +511,60 @@ def test_convolution_generates_log():
     assert np.max(np.abs(out.values - expected)) < 1e-9
 
 
-class KernelWindow:
-    """A plain callable kernel with explicit support, as a convolution takes it."""
+_SCALARS = st.fractions(-3, 3, max_denominator=8)
 
-    def __init__(self, fn, support):
-        self.fn, self.support = fn, support
 
-    def evaluate(self, s):
-        lo, hi = self.support
-        return self.fn(s) if lo < s < hi else 0.0
+@st.composite
+def _kernels(draw):
+    """One to five terms on either side with p <= 3, their scalars real or complex."""
+    im = _SCALARS if draw(st.booleans()) else st.just(0)
+
+    def scalar():
+        return CR.of(draw(_SCALARS), draw(im))
+    return bop.ModelKernel(tuple([
+        bop.KernelTerm(scalar(), draw(st.integers(0, 3)), draw(st.sampled_from(("lb", "rb"))), scalar())
+        for _ in range(draw(st.integers(1, 5)))]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel=_kernels(), log_s=st.floats(-7.0, 7.0), at_one=st.booleans())
+def test_the_kernel_evaluator_is_the_scalar_reference(kernel, log_s, at_one):
+    s = 1.0 if at_one else math.exp(log_s)
+    terms = [t.evaluate(s) for t in kernel.terms]
+    # a float s: bit for bit the real part of the KernelTerm.evaluate sum
+    value = num._kernel_at(kernel)(s)
+    assert value.hex() == sum(terms, 0.0).real.hex()
+    side = "rb" if s < 1.0 else "lb" if s > 1.0 else None
+    k = num._kernel_side(kernel, side) if side else None
+    if k is None:
+        return
+    # an array of log s: the same up to each term's rounding, a few ulps of
+    # |term| (1 + |z log s| + p (1 + 1/|log s|)), since the float branch
+    # rounds 1/s, s^w and log(1/s)
+    log_s = math.log(s)
+    scale = sum([abs(v) * (1 + abs(t.z.as_complex() * log_s) + t.p * (1 + 1 / abs(log_s)))
+                 for t, v in zip(kernel.terms, terms)])
+    assert abs(k(np.array([log_s]))[0] - value) <= 8 * np.finfo(float).eps * scale
 
 
 def test_convolution_with_narrow_bump_approximates_identity():
     op = bop.BDiffOp.from_lists([[Fraction(1, 2)], [1]])
-    k = bop.model_inverse(bop.indicial(op), 0)
-    width = 0.05
-    raw = num.smooth_bump(1.0, width)
-    mass = num.integrate(lambda t: raw(t) / t, 1.0 - width, 1.0 + width)
-    delta = KernelWindow(lambda t: raw(t) / mass, (1.0 - width, 1.0 + width))
+    k = bop.model_inverse(bop.indicial(op), 0)  # s^(1/2) on s < 1
+    # n/2 exp(-n |log s|): mass 1 in ds/s, peaked at s = 1, second moment 2/n^2 in log s
+    n = 40
+    bump = bop.ModelKernel((bop.KernelTerm(CR.of(n), 0, "lb", CR.of(Fraction(n, 2))),
+                            bop.KernelTerm(CR.of(n), 0, "rb", CR.of(Fraction(n, 2)))))
     grid = np.linspace(0.2, 0.8, 7)
-    out = num.convolve_model_kernels(k, delta, grid)
-    exact = np.array([k.evaluate(s) for s in grid])
-    assert np.max(np.abs(out.values - exact)) < 0.02
+    out = num.convolve_model_kernels(k, bump, grid)
+    # to second order in log s, off by k(s) / (4 n^2)
+    assert np.max(np.abs(out.values - grid ** 0.5)) < 2e-4
 
 
 def test_convolution_divergence_detected_at_threshold():
     op = bop.BDiffOp.from_lists([[Fraction(1, 2)], [1]])
     k = bop.model_inverse(bop.indicial(op), 0)  # inf E_rb = 1/2
-    grow = KernelWindow(lambda t: t ** 0.5, (1.0, math.inf))  # inf E_lb = -1/2
+    # s^(1/2) on s > 1: inf E_lb = -1/2
+    grow = bop.ModelKernel((bop.KernelTerm(CR.of(Fraction(-1, 2)), 0, "lb", CR.of(1)),))
     with pytest.raises(IntegrabilityError):
         num.convolve_model_kernels(k, grow, np.array([0.5]))
 
