@@ -41,12 +41,15 @@ GATED = ("setup_s", "margin_max", "peak_rss_mb")
 PRINTED = re.compile(r"^  (run_s|op_p50_ms|op_tail_ms|verify_s|fail_frac) +(\S+)")
 MARGIN = re.compile(r"^ +(\S+)  (\S+) / (\S+)  (.+?)(  \[known defect\])?$")
 COLD_REPEATS = 7
-# argv per subcommand; SMOOTH and OP stand for an index-set file and z + 1's operator file
+# argv per subcommand; SMOOTH, OP, SQRT2 and DESC stand for an index-set file, the
+# operator files of z + 1 and z^2 - 2, and a full-calculus descriptor file
 COLD_START = {
     "--help": ["--help"],
     "space triple": ["space", "triple"],
     "indexset extunion": ["indexset", "extunion", "SMOOTH", "SMOOTH"],
     "op specb": ["op", "specb", "OP"],
+    "op specb z^2 - 2": ["op", "specb", "SQRT2"],
+    "op compose": ["op", "compose", "DESC", "DESC"],
     "op apply-check": ["op", "apply-check", "OP"],
     "op hs": ["op", "hs"],
     "verify --suite all": ["verify", "--suite", "all"],
@@ -86,9 +89,16 @@ def cold_start(root: Path = ROOT) -> dict:
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": str(root / "src")}
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
-        files = {"SMOOTH": Path(tmp, "smooth.json"), "OP": Path(tmp, "op.json")}
-        files["SMOOTH"].write_text(json.dumps({"generators": [{"re": "0", "im": "0", "p": 0}]}))
-        files["OP"].write_text(json.dumps({"coeffs": [["1"], ["1"]]}))
+        contents = {
+            "SMOOTH": {"generators": [{"re": "0", "im": "0", "p": 0}]},
+            "OP": {"coeffs": [["1"], ["1"]]},
+            "SQRT2": {"coeffs": [["-2"], ["0"], ["1"]]},
+            "DESC": {"order": -1.0, "E_lb": {"generators": []},
+                     "E_rb": {"generators": [{"re": "1", "im": "0", "p": 0}]}},
+        }
+        files = {name: Path(tmp, f"{name.lower()}.json") for name in contents}
+        for name, data in contents.items():
+            files[name].write_text(json.dumps(data))
         for name, argv in COLD_START.items():
             argv = [sys.executable, "-m", "bcalc", *(str(files.get(a, a)) for a in argv)]
             out[name] = statistics.median(_wall(argv, env, root) for _ in range(COLD_REPEATS))

@@ -215,11 +215,13 @@ def test_squarefree_and_gcd_agree_with_sympy(bases, terms, lead):
     for f, m in factors:
         for _ in range(m):
             p = _mul(p, f)
-    got = {(_monic(f), m) for f, m in bop._squarefree(bop._primitive(bop._gaussian(p)))}
+    got = rootfinder._squarefree(rootfinder._primitive(rootfinder._gaussian(p)))
+    got = {(_monic(f), m) for f, m in got}
     _, want = _to_sympy(p).sqf_list()
     assert got == {(_from_sympy(f), m) for f, m in want}
     q = _mul(factors[0][0], bases[-1])
-    gcd = bop._pgcd(bop._primitive(bop._gaussian(p)), bop._primitive(bop._gaussian(q)))
+    gcd = rootfinder._pgcd(rootfinder._primitive(rootfinder._gaussian(p)),
+                          rootfinder._primitive(rootfinder._gaussian(q)))
     assert _monic(gcd) == _from_sympy(sympy.gcd(_to_sympy(p), _to_sympy(q)))
 
 
@@ -305,13 +307,13 @@ def test_real_factors_have_exactly_their_real_roots_on_the_axis(factors):
     p = [CR.of(1)]
     for f in factors:
         p = _mul(p, [CR.of(c) for c in f])
-    for factor, _ in bop._squarefree(bop._primitive(bop._gaussian(p))):
+    for factor, _ in rootfinder._squarefree(rootfinder._primitive(rootfinder._gaussian(p))):
         real = [b for _, b in factor]
         real = [a for a, _ in factor] if not any(real) else real
         want = sympy.Poly(list(reversed(real)), z).count_roots()
         assert rootfinder.real_root_count(real) == want
         if len(factor) > 2:
-            values = [v for v, _ in bop._squarefree_roots(factor)]
+            values = [v for v, _ in rootfinder._squarefree_roots(factor)]
             assert sum(v.im == 0 for v in values) == want, factor
 
 

@@ -773,14 +773,15 @@ print(json.dumps([code, sorted(m for m in loaded if m.split(".")[0] == "bcalc"),
     assert loads("map", "compose", pi2, proj, rationals=False) == spaces | {"serialize"}
     assert loads("indexset", "extunion", smooth, smooth) == core
     assert loads("transport", "pushforward", proj, fam) == core | {"geometry", "transport"}
-    # a first-order operator's root is exact, so no root finder runs
-    assert loads("op", "compose", desc, desc) == core | {"boperators"}
-    assert loads("op", "specb", op) == core | {"boperators"}
-    # nor does the float root finder of a quadratic factor, real or complex
+    # the exact calculus loads its root finder, and neither loads NumPy,
+    # for a first-order operator or a quadratic factor, real or complex
+    assert loads("op", "compose", desc, desc) == core | {"boperators", "rootfinder"}
+    assert loads("op", "specb", op) == core | {"boperators", "rootfinder"}
     assert loads("op", "specb", sqrt2) == core | {"boperators", "rootfinder"}
     assert loads("op", "specb", cquad) == core | {"boperators", "rootfinder"}
     # the apply check crunches floats with NumPy, and loads no SciPy
-    assert loads("op", "apply-check", op, numpy=True) == core | {"boperators", "numeric"}
+    assert loads("op", "apply-check", op, numpy=True) == core | {"boperators", "rootfinder",
+                                                                  "numeric"}
     # so does the HS probe, which reads no file and needs no exact calculus
     assert loads("op", "hs", numpy=True, reads_json=False) == core - {"serialize"} | {"numeric"}
     # the acceptance suite's layers, numeric among them, are records too
