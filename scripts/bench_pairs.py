@@ -12,9 +12,10 @@ quartile ranges and the pairs each side won (by ``BENCHMARK.json``'s
 ``op_tail_ms``, ``verify_s`` and ``fail_frac``); then each side's
 ``correct`` and ``failed`` per run, the check that sets ``margin_max`` in
 each run (its largest margin, known defects left out; untraced runs only),
-and whether ``margin_max`` is identical on every run.  ``--json`` prints the
-same as one JSON object, with every run's values.  The output is parsed by
-``bench_trajectory.run``.
+and whether ``margin_max`` is identical on every run (a traced run reports
+no ``margin_max``, so with ``--trace 1`` that line reads n/a).  ``--json``
+prints the same as one JSON object, with every run's values.  The output is
+parsed by ``bench_trajectory.run``.
 
 Usage: ``python3 scripts/bench_pairs.py --base REV --workload W --seed N
 --pairs K [--seconds S] [--trace 1] [--json]``; ``--seconds`` defaults to
@@ -118,14 +119,15 @@ def main(argv=None) -> int:
                 record = run(args.workload, args.seed, seconds, args.trace, trees[side])
                 record["values"] = {**record["metrics"], **record.get("printed", {})}
                 runs[side].append(record)
-    margins = {r["metrics"]["margin_max"] for side in SIDES for r in runs[side]}
+    untraced = [r for side in SIDES for r in runs[side] if not r["trace"]]
+    margins = {r["metrics"]["margin_max"] for r in untraced}
     report = {
         "base": rev, "workload": args.workload, "seed": args.seed, "pairs": args.pairs,
         "seconds": seconds, "trace": args.trace,
         "correct": {side: [r["correct"] for r in runs[side]] for side in SIDES},
         "failed": {side: [r["failed"] for r in runs[side]] for side in SIDES},
         "margin_max_check": {side: [margin_max_check(r) for r in runs[side]] for side in SIDES},
-        "margin_max_identical": len(margins) == 1,
+        "margin_max_identical": len(margins) == 1 if untraced else None,
         "metrics": compare(runs, better),
     }
     if args.json:
@@ -140,7 +142,9 @@ def main(argv=None) -> int:
         named = ", ".join(f"{label or 'none (traced)'} ({checks.count(label)} of {len(checks)})"
                           for label in dict.fromkeys(checks))
         print(f"{side:<6}  margin_max set by: {named}")
-    print(f"margin_max identical on every run: {'yes' if report['margin_max_identical'] else 'no'}")
+    identical = report["margin_max_identical"]
+    print("margin_max identical on every run: "
+          f"{'n/a (traced)' if identical is None else 'yes' if identical else 'no'}")
     print(f"{'metric':<32} {'base median [q1, q3]':>32} {'change median [q1, q3]':>32}  "
           "won base/change/tie")
     for name, m in report["metrics"].items():

@@ -15,7 +15,8 @@ writes:
 * ``cold_start``: per subcommand in ``COLD_START``, the median wall time of
   ``COLD_REPEATS`` fresh ``python -m bcalc`` runs without bytecode caches
   (``PYTHONDONTWRITEBYTECODE=1``, as the benchmark runs), and the wall time
-  of one tier-1 pytest run (``pytest_s``).
+  of one tier-1 pytest run (``pytest_s``).  ``cold_start(parent, change)``
+  measures two trees at once, alternating them on each repeat.
 
 Usage: ``python3 scripts/bench_trajectory.py --out FILE.json``.
 """
@@ -82,12 +83,16 @@ def _wall(argv, env, root) -> float:
     return time.perf_counter() - start
 
 
-def cold_start(root: Path = ROOT) -> dict:
-    """Seconds per subcommand of ``COLD_START`` (the median of
-    ``COLD_REPEATS`` fresh runs) and of one tier-1 pytest run, without
-    bytecode caches, in the tree at ``root``."""
-    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": str(root / "src")}
-    out = {}
+def cold_start(*roots: Path) -> list:
+    """Per tree in ``roots``: seconds per subcommand of ``COLD_START`` (the
+    median of ``COLD_REPEATS`` fresh runs) and of one tier-1 pytest run,
+    without bytecode caches.  Each repeat runs every tree once, in an order
+    that reverses from one repeat to the next (as ``bench_pairs.py``
+    alternates its sides), so drift of the machine does not read as a
+    difference between trees."""
+    envs = [{**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": str(root / "src")}
+            for root in roots]
+    out = [{} for _ in roots]
     with tempfile.TemporaryDirectory() as tmp:
         contents = {
             "SMOOTH": {"generators": [{"re": "0", "im": "0", "p": 0}]},
@@ -101,9 +106,15 @@ def cold_start(root: Path = ROOT) -> dict:
             files[name].write_text(json.dumps(data))
         for name, argv in COLD_START.items():
             argv = [sys.executable, "-m", "bcalc", *(str(files.get(a, a)) for a in argv)]
-            out[name] = statistics.median(_wall(argv, env, root) for _ in range(COLD_REPEATS))
-    out["pytest_s"] = _wall([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                             "--continue-on-collection-errors"], env, root)
+            walls = [[] for _ in roots]
+            for i in range(COLD_REPEATS):
+                for k in sorted(range(len(roots)), reverse=i % 2 == 1):
+                    walls[k].append(_wall(argv, envs[k], roots[k]))
+            for k, times in enumerate(walls):
+                out[k][name] = statistics.median(times)
+    for k, root in enumerate(roots):
+        out[k]["pytest_s"] = _wall([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                                    "--continue-on-collection-errors"], envs[k], root)
     return out
 
 
@@ -137,7 +148,7 @@ def main(argv=None) -> int:
             "runs": runs,
         }
     print("cold start", file=sys.stderr, flush=True)
-    point["cold_start"] = cold_start()
+    [point["cold_start"]] = cold_start(ROOT)
     Path(args.out).write_text(json.dumps(point, indent=1, sort_keys=True) + "\n")
     return 0
 

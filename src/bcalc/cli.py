@@ -330,7 +330,8 @@ def _verify(args):
     payload = {
         "suite": args.suite,
         "results": [
-            {"id": r.cid, "name": r.name, "passed": r.passed, "detail": r.detail}
+            {"id": r.cid, "name": r.name, "passed": r.passed, "detail": r.detail,
+             "checks": [dict(zip(("label", "measured", "bound"), c)) for c in r.checks]}
             for r in results
         ],
         "passed": passed,

@@ -554,7 +554,7 @@ def convolve_model_kernels(k1, k2, s_grid, spec: QuadratureSpec = DEFAULT_QUAD,
     f1, f2 = _kernel_at(k1), _kernel_at(k2)
     s_grid = np.asarray(s_grid, dtype=float)
     values = np.empty_like(s_grid)
-    for i, s in enumerate(s_grid):
+    for i, s in enumerate(s_grid.tolist()):
         # k1(s/t) != 0 for s/hi1 < t < s/lo1 (with 1/0 = inf)
         lo = max(s / hi1 if hi1 != math.inf else 0.0, lo2)
         hi = min(s / lo1 if lo1 > 0.0 else math.inf, hi2)

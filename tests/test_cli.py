@@ -534,6 +534,16 @@ def test_verify_suite_runs(capsys):
     assert list(cli._FLAGS["--suite"]["choices"]) == sorted(verify.SUITES)
 
 
+def test_verify_json_lists_each_check_with_its_bound(capsys):
+    code, out = run(capsys, "--json", "verify", "--suite", "parametrix")
+    assert code == 0
+    results = {r["id"]: r for r in json.loads(out)["results"]}
+    residuals = [c for c in results[9]["checks"] if c["label"] == "apply_check residual"]
+    assert len(residuals) == 3
+    assert all(c["bound"] == 1e-6 and 0.0 <= c["measured"] <= 1e-6 for c in residuals)
+    assert results[8]["checks"] == [] and results[11]["checks"] == []
+
+
 def test_malformed_input_is_exit_1(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -976,16 +986,6 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["generators"] == [{"re": "0", "im": "0", "p": 0}]
-
-
-def test_demo_script_runs():
-    script = Path(__file__).resolve().parents[1] / "scripts" / "demo_pushforward.py"
-    proc = subprocess.run(
-        [sys.executable, str(script)], capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "contained in prediction: True" in proc.stdout
 
 
 def test_load_object_detects_types(tmp_path):

@@ -123,9 +123,9 @@ CASES = {
         "PhgExpansion(terms=((Fraction(0, 1), 0, 1.0), (Fraction(1, 1), 1, -0.5)), "
         "fit_residual=0.0)"),
     "CaseResult": (
-        lambda: verify.CaseResult(1, "extended-union law", True, "ok"),
-        lambda: verify.CaseResult(1, "extended-union law", False, "ok"),
-        "CaseResult(cid=1, name='extended-union law', passed=True, detail='ok')"),
+        lambda: verify.CaseResult(1, "extended-union law", True, "ok", ()),
+        lambda: verify.CaseResult(1, "extended-union law", False, "ok", ()),
+        "CaseResult(cid=1, name='extended-union law', passed=True, detail='ok', checks=())"),
 }
 
 
