@@ -13,9 +13,10 @@ quartile ranges and the pairs each side won (by ``BENCHMARK.json``'s
 ``correct`` and ``failed`` per run, the check that sets ``margin_max`` in
 each run (its largest margin, known defects left out; untraced runs only),
 and whether ``margin_max`` is identical on every run (a traced run reports
-no ``margin_max``, so with ``--trace 1`` that line reads n/a).  ``--json``
-prints the same as one JSON object, with every run's values.  The output is
-parsed by ``bench_trajectory.run``.
+no ``margin_max``, so with ``--trace 1`` that line reads n/a).  Last, one
+verdict per gated end-to-end metric of ``BENCHMARK.json`` (see ``verdict``).
+``--json`` prints the same as one JSON object, with every run's values.  The
+output is parsed by ``bench_trajectory.run``.
 
 Usage: ``python3 scripts/bench_pairs.py --base REV --workload W --seed N
 --pairs K [--seconds S] [--trace 1] [--json]``; ``--seconds`` defaults to
@@ -90,6 +91,29 @@ def compare(runs: dict, better: dict) -> dict:
     return out
 
 
+def verdict(metric: dict, bound: float) -> str:
+    """The verdict on one end-to-end metric of ``compare``, checked in this
+    order: *regression* when the change's median is worse than the base's
+    by more than ``bound``, a fraction of the base median; *unresolved* when
+    the base's quartile distance is wider than that same allowance and not
+    every change run beats every base run; *gain* when the change won at
+    least 9 of 10 pairs (ties count for neither side) and the medians
+    differ by more than the base's quartile distance; *no change* else."""
+    base, change, won = metric["base"], metric["change"], metric["won"]
+    sign = -1.0 if metric["better"] == "lower" else 1.0
+    allowance = bound * abs(base["median"])
+    spread = base["q3"] - base["q1"]
+    pairs = sum(won.values())
+    if sign * (change["median"] - base["median"]) < -allowance:
+        return "regression"
+    worst_change = min(sign * v for v in change["values"])
+    if spread > allowance and not worst_change > max(sign * v for v in base["values"]):
+        return "unresolved"
+    if 10 * won["change"] >= 9 * pairs and sign * (change["median"] - base["median"]) > spread:
+        return "gain"
+    return "no change"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--base", required=True, help="the revision to compare against")
@@ -105,6 +129,7 @@ def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
     better = {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     rev = subprocess.run(["git", "rev-parse", "--short", args.base], cwd=ROOT,
                          capture_output=True, text=True, check=True).stdout.strip()
     runs = {side: [] for side in SIDES}
@@ -130,6 +155,8 @@ def main(argv=None) -> int:
         "margin_max_identical": len(margins) == 1 if untraced else None,
         "metrics": compare(runs, better),
     }
+    report["verdicts"] = {name: verdict(report["metrics"][name], bound)
+                          for name, bound in bounds.items() if name in report["metrics"]}
     if args.json:
         print(json.dumps(report, indent=1, sort_keys=True))
         return 0
@@ -153,6 +180,8 @@ def main(argv=None) -> int:
         won = m["won"]
         print(f"{name:<32} {cells[0]:>32} {cells[1]:>32}  "
               f"{won['base']}/{won['change']}/{won['tie']} ({m['better']} is better)")
+    for name, outcome in report["verdicts"].items():
+        print(f"verdict {name}: {outcome} (bound {bounds[name]:g})")
     return 0
 
 

@@ -43,11 +43,15 @@ PRINTED = re.compile(r"^  (run_s|op_p50_ms|op_tail_ms|verify_s|fail_frac) +(\S+)
 MARGIN = re.compile(r"^ +(\S+)  (\S+) / (\S+)  (.+?)(  \[known defect\])?$")
 COLD_REPEATS = 7
 # argv per subcommand; SMOOTH, OP, SQRT2 and DESC stand for an index-set file, the
-# operator files of z + 1 and z^2 - 2, and a full-calculus descriptor file
+# operator files of z + 1 and z^2 - 2, and a full-calculus descriptor file;
+# BLOWDOWN, QPROJ and PROJ for the b-maps X2b -> quadrant -> half-line and
+# X2b -> half-line, and FAM for an index family on X2b
 COLD_START = {
     "--help": ["--help"],
     "space triple": ["space", "triple"],
     "indexset extunion": ["indexset", "extunion", "SMOOTH", "SMOOTH"],
+    "map compose": ["map", "compose", "BLOWDOWN", "QPROJ"],
+    "transport pushforward": ["transport", "pushforward", "PROJ", "FAM"],
     "op specb": ["op", "specb", "OP"],
     "op specb z^2 - 2": ["op", "specb", "SQRT2"],
     "op compose": ["op", "compose", "DESC", "DESC"],
@@ -94,12 +98,25 @@ def cold_start(*roots: Path) -> list:
             for root in roots]
     out = [{} for _ in roots]
     with tempfile.TemporaryDirectory() as tmp:
+        smooth = {"generators": [{"re": "0", "im": "0", "p": 0}]}
+        x2b = {"dim": 2, "bhs": ["lb", "rb", "ff"],
+               "faces": [[], ["ff"], ["lb"], ["rb"], ["ff", "lb"], ["ff", "rb"]]}
+        quadrant = {"dim": 2, "bhs": ["Hx", "Hy"], "faces": [[], ["Hx"], ["Hy"], ["Hx", "Hy"]]}
+        halfline = {"dim": 1, "bhs": ["H"], "faces": [[], ["H"]]}
         contents = {
-            "SMOOTH": {"generators": [{"re": "0", "im": "0", "p": 0}]},
+            "SMOOTH": smooth,
             "OP": {"coeffs": [["1"], ["1"]]},
             "SQRT2": {"coeffs": [["-2"], ["0"], ["1"]]},
             "DESC": {"order": -1.0, "E_lb": {"generators": []},
                      "E_rb": {"generators": [{"re": "1", "im": "0", "p": 0}]}},
+            "BLOWDOWN": {"source": x2b, "target": quadrant, "e": [[1, 0], [0, 1], [1, 1]],
+                         "fibration_faces": True},
+            "QPROJ": {"source": quadrant, "target": halfline, "e": [[1], [0]],
+                      "fibration_faces": True},
+            "PROJ": {"source": x2b, "target": halfline, "e": [[1], [0], [1]],
+                     "fibration_faces": True},
+            "FAM": {"assignment": {"lb": smooth, "ff": smooth,
+                                   "rb": {"generators": [{"re": "1", "im": "0", "p": 0}]}}},
         }
         files = {name: Path(tmp, f"{name.lower()}.json") for name in contents}
         for name, data in contents.items():

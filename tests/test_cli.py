@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -15,10 +16,11 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from bcalc import boperators as bop
-from bcalc import cli, rootfinder, serialize, verify
+from bcalc import cli, commands, rootfinder, serialize, verify
 from bcalc import geometry as geo
 from bcalc import numeric as num
 from bcalc.cli import main
+from bcalc.commands import op as op_command
 from bcalc.errors import (
     ConditioningError,
     FitRejection,
@@ -370,7 +372,7 @@ def test_op_hs_samples_the_kernel_for_a_wide_support(capsys):
     assert abs(data["slope"] - 0.506824726381) < 1e-9
     # unrounded, the slope is the mpmath value 0.50682472638052931 to rounding
     for c in ("4", "1e3", "1e10"):
-        payload, _, code = cli._op_hs(cli.build_parser("op").parse_args(["op", "hs", "--support-c", c]))
+        payload, _, code = op_command._hs(cli.build_parser("op").parse_args(["op", "hs", "--support-c", c]))
         assert code == 0 and abs(payload["slope"] - 0.50682472638052931) < 1e-13, c
     # beyond 1e10 the x-bump norms swamp their increments; at C <= 1 the
     # kernel's s-range [1/C, C] is empty; below C = 2 it would cut off part of
@@ -531,7 +533,7 @@ def test_verify_suite_runs(capsys):
     data = json.loads(out)
     assert data["passed"] == data["total"] == 1
     # the parser lists the suites without importing verify, and so NumPy
-    assert list(cli._FLAGS["--suite"]["choices"]) == sorted(verify.SUITES)
+    assert list(commands._FLAGS["--suite"]["choices"]) == sorted(verify.SUITES)
 
 
 def test_verify_json_lists_each_check_with_its_bound(capsys):
@@ -743,7 +745,10 @@ argv = sys.argv[1:]
 import bcalc, bcalc.cli
 if argv:
     with contextlib.redirect_stdout(io.StringIO()):
-        code = bcalc.cli.main(argv)
+        try:
+            code = bcalc.cli.main(argv)
+        except SystemExit as exc:  # --help
+            code = exc.code
 else:  # the benchmark's setup snippet
     from bcalc import geometry
     geometry.x2b(); geometry.triple_b_space()
@@ -769,6 +774,12 @@ print(json.dumps([code, sorted(m for m in loaded if m.split(".")[0] == "bcalc"),
         # Fraction (and the decimal module it imports) loads with the layers that use it
         assert bool(fractions) == rationals, (argv, fractions)
         modules = {m.removeprefix("bcalc.") for m in modules}
+        # a run compiles the shared helpers and its own command's module
+        # alone, and the setup snippet and --help compile no command module
+        command = next((a for a in argv if not a.startswith("-")), None)
+        actions = {m for m in modules if m.split(".")[0] == "commands"}
+        assert actions == ({"commands", f"commands.{command}"} if command else set()), (argv, actions)
+        modules -= actions
         # json loads to write --json output or to read files, and __future__
         # only with a layer beyond the spaces
         assert ("json" in light) == reads_json, (argv, light)
@@ -778,6 +789,7 @@ print(json.dumps([code, sorted(m for m in loaded if m.split(".")[0] == "bcalc"),
     core = {"bcalc", "cli", "errors", "indexsets", "rationals", "records", "serialize"}
     # the exact layers are records, not dataclasses: no dataclasses, no inspect
     assert loads(rationals=False, reads_json=False) == spaces
+    assert loads("--help", rationals=False, reads_json=False) == spaces - {"geometry", "records"}
     assert loads("space", "triple", rationals=False, reads_json=False) == spaces
     assert loads("space", "triple", "--json", rationals=False) == spaces
     assert loads("map", "compose", pi2, proj, rationals=False) == spaces | {"serialize"}
@@ -939,13 +951,25 @@ def _describe(leaf):
 
 def test_a_command_parser_builds_the_leaves_of_the_full_parser():
     full = _leaves(cli.build_parser())
-    assert sorted(full, key=str) == sorted(cli._ACTIONS, key=str)
+    tables = {(command, action) for command in cli._COMMANDS
+              for action in importlib.import_module(f"bcalc.commands.{command}").ACTIONS}
+    assert sorted(full, key=str) == sorted(tables, key=str)
     for command in cli._COMMANDS:
         mine = _leaves(cli.build_parser(command))
         assert {key[0] for key in mine} == {command}
         assert mine.keys() == {key for key in full if key[0] == command}, command
         for key, leaf in mine.items():
             assert _describe(leaf) == _describe(full[key]), key
+
+
+def test_each_table_names_handlers_of_its_own_module():
+    for command in cli._COMMANDS:
+        module = importlib.import_module(f"bcalc.commands.{command}")
+        assert module.ACTIONS, command
+        for action, (handler, kinds, flags) in module.ACTIONS.items():
+            assert callable(handler) and handler.__module__ == module.__name__, (command, action)
+            assert all(kind is None or isinstance(kind, str) for kind in kinds), (command, action)
+            assert set(flags) <= commands._FLAGS.keys(), (command, action)
 
 
 def test_numeric_failure_is_exit_3(tmp_path, capsys, monkeypatch):

@@ -92,7 +92,7 @@ def test_the_check_passes_ufunc_forms(source):
 
 
 def test_no_module_under_src_calls_blas_or_lapack():
-    paths = sorted(SRC.glob("*.py"))
+    paths = sorted(SRC.rglob("*.py"))
     assert paths
-    sites = [s for p in paths for s in blas_sites(p.read_text(), p.name)]
+    sites = [s for p in paths for s in blas_sites(p.read_text(), str(p.relative_to(SRC)))]
     assert sites == []

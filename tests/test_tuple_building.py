@@ -76,7 +76,7 @@ def test_the_check_passes_list_built_forms(source):
 
 
 def test_no_tuple_under_src_is_built_from_a_lazy_iterator():
-    paths = sorted(SRC.glob("*.py"))
+    paths = sorted(SRC.rglob("*.py"))
     assert paths
-    sites = [s for p in paths for s in lazy_tuple_sites(p.read_text(), p.name)]
+    sites = [s for p in paths for s in lazy_tuple_sites(p.read_text(), str(p.relative_to(SRC)))]
     assert sites == []
