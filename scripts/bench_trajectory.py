@@ -14,9 +14,11 @@ writes:
   and of each per-layer metric;
 * ``cold_start``: per subcommand in ``COLD_START``, the median wall time of
   ``COLD_REPEATS`` fresh ``python -m bcalc`` runs without bytecode caches
-  (``PYTHONDONTWRITEBYTECODE=1``, as the benchmark runs), and the wall time
-  of one tier-1 pytest run (``pytest_s``).  ``cold_start(parent, change)``
-  measures two trees at once, alternating them on each repeat.
+  (``PYTHONDONTWRITEBYTECODE=1``, as the benchmark runs), under
+  ``quartiles`` the first and third quartiles of those runs, and the wall
+  time of one tier-1 pytest run (``pytest_s``).  ``cold_start(parent,
+  change)`` measures two trees at once, alternating them on each repeat,
+  and counts under ``wins`` the repeats in which each tree was the faster.
 
 Usage: ``python3 scripts/bench_trajectory.py --out FILE.json``.
 """
@@ -93,7 +95,9 @@ def cold_start(*roots: Path) -> list:
     without bytecode caches.  Each repeat runs every tree once, in an order
     that reverses from one repeat to the next (as ``bench_pairs.py``
     alternates its sides), so drift of the machine does not read as a
-    difference between trees."""
+    difference between trees.  Beside the medians, ``quartiles`` holds each
+    subcommand's [first, third] quartile of its repeats and, for two trees,
+    ``wins`` the number of repeats in which the tree was faster than the other."""
     envs = [{**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": str(root / "src")}
             for root in roots]
     out = [{} for _ in roots]
@@ -129,6 +133,11 @@ def cold_start(*roots: Path) -> list:
                     walls[k].append(_wall(argv, envs[k], roots[k]))
             for k, times in enumerate(walls):
                 out[k][name] = statistics.median(times)
+                q1, _, q3 = statistics.quantiles(times, n=4)
+                out[k].setdefault("quartiles", {})[name] = [q1, q3]
+                if len(roots) == 2:
+                    other = walls[1 - k]
+                    out[k].setdefault("wins", {})[name] = sum([t < u for t, u in zip(times, other)])
     for k, root in enumerate(roots):
         out[k]["pytest_s"] = _wall([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
                                     "--continue-on-collection-errors"], envs[k], root)

@@ -8,10 +8,9 @@ Only a finite, canonical generator set is kept (no generator is implied by
 another), so equality of index sets is equality of generator sets, and every
 "left segment" ``Re z <= N`` is a finite, enumerable list.
 
-Exponents interact only within a residue class ``(Im z, Re z mod 1)``, so
-every operation below works class by class; ``residue_class`` alone decides it.
-
-Exponents are exact complex rationals; all arithmetic here is exact.
+Exponents interact only within a residue class, exponents an integer apart,
+so every operation below works class by class; ``residue_class`` alone
+decides it.  Exponents are exact complex rationals; all arithmetic is exact.
 """
 from __future__ import annotations
 
@@ -31,8 +30,8 @@ _TRUNCATE_BUDGET = 10_000
 
 
 def residue_class(z: Exponent):
-    """(Im z, Re z mod 1): equal exactly when two exponents differ by an integer."""
-    return (z.im, z.re - math.floor(z.re))
+    """(d, b, a mod d) of z = (a + bi)/d: shared exactly by the z + n = (a + nd, b, d)."""
+    return (z.d, z.b, z.a % z.d)
 
 
 class IndexEntry(Record):
@@ -65,10 +64,10 @@ class IndexEntry(Record):
 
 
 def _reduce(entries) -> frozenset:
-    """Canonical generators: sweeping by (Re z, -p), keep an entry only when its
-    p is above the running maximum of its class (else an earlier one implies it)."""
+    """Canonical generators: sweeping by (a, -p), by (Re z, -p) in a class of one d,
+    keep an entry only when its p tops its class so far (else an earlier one implies it)."""
     top, kept = {}, []
-    for e in sorted(set(entries), key=lambda e: (e.z.re, -e.p)):
+    for e in sorted(entries, key=lambda e: (e.z.a, -e.p)):
         c = residue_class(e.z)
         if e.p > top.get(c, -1):
             top[c] = e.p
@@ -108,7 +107,7 @@ class IndexSet(Record):
         """Largest p with (z, p) in the set, or None if z is absent."""
         zz = ComplexRational.of(z)
         c = residue_class(zz)
-        below = (g.p for g in self.generators if residue_class(g.z) == c and g.z.re <= zz.re)
+        below = (g.p for g in self.generators if residue_class(g.z) == c and g.z.a <= zz.a)
         return max(below, default=None)
 
     def inf_re(self):
@@ -134,13 +133,13 @@ class IndexSet(Record):
         The result contains, besides all members of both sets, every
         ``(z, p' + p'' + 1)`` with ``(z, p')`` in one set and ``(z, p'')``
         in the other.  On generators it suffices to pair generators of the
-        same residue class; the shared exponent is the one with larger Re z.
+        same residue class; the shared exponent is the one with larger a (Re z).
         """
         by_class = {}
         for g in other.generators:
             by_class.setdefault(residue_class(g.z), []).append(g)
         cross = (
-            IndexEntry(max(gi.z, gj.z, key=lambda z: z.re), gi.p + gj.p + 1)
+            IndexEntry(max(gi.z, gj.z, key=lambda z: z.a), gi.p + gj.p + 1)
             for gi in self.generators
             for gj in by_class.get(residue_class(gi.z), ())
         )

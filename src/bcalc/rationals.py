@@ -1,8 +1,11 @@
-"""Exact complex-rational scalars.
+"""Exact complex-rational scalars, on the package's one Gaussian-integer core.
 
-All exponents and exact coefficients in the package are Gaussian rationals:
-pairs of ``fractions.Fraction``.  Equality is decidable, arithmetic is exact,
-and the total output order used everywhere is lexicographic in (re, im).
+All exponents and exact coefficients in the package are Gaussian rationals,
+each held in one normal form: the ints (a, b, d) of (a + bi)/d, with
+gcd(a, b, d) = 1 and d > 0.  Their arithmetic is written once, on (re, im)
+int pairs (``_gmul``, ``_gadd``, ``_gsub``, ``_gquo``, ``_ggcd``), the root
+finder's polynomial core too.  ``re`` and ``im`` read the parts as
+``Fraction``s; the output order used everywhere is lexicographic in (re, im).
 
 No float is rounded into a Fraction by the library: ``as_fraction`` refuses
 a float, and the root finder stores an inexact root as the rational nearest
@@ -11,11 +14,11 @@ its exact Newton refinement (to 2^-128), never as the float it started from.
 it to each cluster centre, and ``model_inverse`` to its coefficients when a
 root is inexact.  ``ComplexRational.from_complex`` rounds a float by the same
 rule for callers outside the library; nothing in bcalc calls it.  This module
-holds the only JSON codec for a scalar
-(``ComplexRational.to_jsonable``/``from_jsonable``).
+holds the only JSON codec for a scalar (``to_jsonable``/``from_jsonable``).
 """
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -51,20 +54,65 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-class ComplexRational(Record):
-    __slots__ = ("re", "im")
+# Gaussian integers: (re, im) pairs of ints
 
-    def __init__(self, re: Fraction = Fraction(0), im: Fraction = Fraction(0)):
-        _set(self, "re", re)
-        _set(self, "im", im)
+
+def _gmul(a, b):
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _gadd(a, b):
+    return a[0] + b[0], a[1] + b[1]
+
+
+def _gsub(a, b):
+    return a[0] - b[0], a[1] - b[1]
+
+
+def _gquo(a, b):
+    """The Gaussian integer nearest to a / b: the exact quotient when b divides a."""
+    if b[1]:
+        n = b[0] * b[0] + b[1] * b[1]
+        a = (a[0] * b[0] + a[1] * b[1], a[1] * b[0] - a[0] * b[1])
+    else:  # a real divisor, as in every subresultant step on real input, is not squared
+        n = b[0]
+    return (2 * a[0] + n) // (2 * n), (2 * a[1] + n) // (2 * n)
+
+
+def _ggcd(a, b):
+    while b != (0, 0):
+        a, b = b, _gsub(a, _gmul(_gquo(a, b), b))
+    return a
+
+
+class ComplexRational(Record):
+    """(a + bi)/d in ints, gcd(a, b, d) = 1, d > 0, from int or Fraction parts: (re + i im)/d."""
+
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, re=0, im=0, d=1):
+        n = math.lcm(re.denominator, im.denominator)
+        a, b, d = re.numerator * n // re.denominator, im.numerator * n // im.denominator, n * d
+        if not d:
+            raise ZeroDivisionError("division by zero ComplexRational")
+        g = math.gcd(a, b, d) if d > 0 else -math.gcd(a, b, d)
+        _set(self, "a", a // g)
+        _set(self, "b", b // g)
+        _set(self, "d", d // g)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     @classmethod
     def of(cls, value, im=None) -> "ComplexRational":
-        if im is not None:
-            return cls(as_fraction(value), as_fraction(im))
-        if isinstance(value, ComplexRational):
+        if im is None and isinstance(value, ComplexRational):
             return value
-        return cls(as_fraction(value))
+        return cls(as_fraction(value), 0 if im is None else as_fraction(im))
 
     @classmethod
     def from_complex(cls, z: complex) -> "ComplexRational":
@@ -87,61 +135,43 @@ class ComplexRational(Record):
 
     @property
     def is_real(self) -> bool:
-        return self.im == 0
+        return self.b == 0
 
     def key(self):
         return (self.re, self.im)
 
     def as_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
+        return complex(self.a / self.d) + 1j * complex(self.b / self.d)
 
     def __bool__(self) -> bool:
-        return self.re != 0 or self.im != 0
+        return self.a != 0 or self.b != 0
 
     def __add__(self, other) -> "ComplexRational":
         o = ComplexRational.of(other)
-        return ComplexRational(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
+        num = _gadd((self.a * o.d, self.b * o.d), (o.a * self.d, o.b * self.d))
+        return ComplexRational(*num, self.d * o.d)
 
     def __sub__(self, other) -> "ComplexRational":
-        o = ComplexRational.of(other)
-        return ComplexRational(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other) -> "ComplexRational":
-        return ComplexRational.of(other) - self
+        return self + -ComplexRational.of(other)
 
     def __neg__(self) -> "ComplexRational":
-        return ComplexRational(-self.re, -self.im)
+        return ComplexRational(-self.a, -self.b, self.d)
 
     def __mul__(self, other) -> "ComplexRational":
         o = ComplexRational.of(other)
-        return ComplexRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
-
-    __rmul__ = __mul__
+        return ComplexRational(*_gmul((self.a, self.b), (o.a, o.b)), self.d * o.d)
 
     def __truediv__(self, other) -> "ComplexRational":
         o = ComplexRational.of(other)
-        den = o.re * o.re + o.im * o.im
-        if den == 0:
-            raise ZeroDivisionError("division by zero ComplexRational")
-        return ComplexRational(
-            (self.re * o.re + self.im * o.im) / den,
-            (self.im * o.re - self.re * o.im) / den,
-        )
-
-    def __rtruediv__(self, other) -> "ComplexRational":
-        return ComplexRational.of(other) / self
+        num = _gmul((self.a * o.d, self.b * o.d), (o.a, -o.b))
+        return ComplexRational(*num, self.d * (o.a * o.a + o.b * o.b))
 
     def __str__(self) -> str:
-        if self.im == 0:
+        if self.b == 0:
             return str(self.re)
-        sign = "+" if self.im >= 0 else "-"
+        sign = "+" if self.b >= 0 else "-"
         return f"{self.re}{sign}{abs(self.im)}i"
 
 
 ZERO = ComplexRational()
-ONE = ComplexRational(Fraction(1))
+ONE = ComplexRational(1)

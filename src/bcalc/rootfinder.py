@@ -14,42 +14,14 @@ import math
 import sys
 from fractions import Fraction
 
-from .rationals import ComplexRational
+from .rationals import ZERO, ComplexRational, _gadd, _ggcd, _gmul, _gquo, _gsub
 from .records import Record
 
 
 # ---------------------------------------------------------------------------
-# exact polynomial core over the Gaussian integers: a coefficient is an
-# (re, im) pair of ints, a polynomial a tuple of them, ascending
+# exact polynomial core over the Gaussian integers of ``rationals``: a
+# polynomial is a tuple of (re, im) int pairs, ascending
 # ---------------------------------------------------------------------------
-
-
-def _gmul(a, b):
-    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
-
-
-def _gadd(a, b):
-    return a[0] + b[0], a[1] + b[1]
-
-
-def _gsub(a, b):
-    return a[0] - b[0], a[1] - b[1]
-
-
-def _gquo(a, b):
-    """The Gaussian integer nearest to a / b: the exact quotient when b divides a."""
-    if b[1]:
-        n = b[0] * b[0] + b[1] * b[1]
-        a = (a[0] * b[0] + a[1] * b[1], a[1] * b[0] - a[0] * b[1])
-    else:  # a real divisor, as in every subresultant step on real input, is not squared
-        n = b[0]
-    return (2 * a[0] + n) // (2 * n), (2 * a[1] + n) // (2 * n)
-
-
-def _ggcd(a, b):
-    while b != (0, 0):
-        a, b = b, _gsub(a, _gmul(_gquo(a, b), b))
-    return a
 
 
 def _primitive(p):
@@ -63,9 +35,9 @@ def _primitive(p):
 
 
 def _gaussian(poly):
-    """The Z[i] polynomial of an exact one: denominators cleared once."""
-    den = math.lcm(*[x.denominator for c in poly for x in (c.re, c.im)])
-    return tuple([(int(c.re * den), int(c.im * den)) for c in poly])
+    """The Z[i] polynomial of an exact one: the denominators d cleared once, by their lcm."""
+    den = math.lcm(*[c.d for c in poly])
+    return tuple([(c.a * (den // c.d), c.b * (den // c.d)) for c in poly])
 
 
 def _prem(p, q):
@@ -393,9 +365,9 @@ def _squarefree_roots(factor):
     """
     deg = len(factor) - 1
     lead = factor[-1]
-    a_n = ComplexRational.of(*lead)
+    a_n = ComplexRational(*lead)
     if deg == 1:
-        return [(-ComplexRational.of(*factor[0]) / a_n, True)]
+        return [(-ComplexRational(*factor[0]) / a_n, True)]
     try:
         numeric = aberth(factor)
     except OverflowError:
@@ -409,12 +381,11 @@ def _squarefree_roots(factor):
         radius = min(abs(r - s) for j, s in enumerate(numeric) if j != i) / 2
         z, bits = _refine(factor, r, radius)
         w = _gquo(_gmul(lead, z), (1 << bits, 0))
-        cand = ComplexRational.of(*w) / a_n
+        cand = ComplexRational(*w) / a_n
         if abs(cand.as_complex() - r) < radius and _vanishes_at(factor, w, lead):
             out.append((cand, True))
         else:
-            scale = 1 << bits
-            out.append((ComplexRational(Fraction(z[0], scale), Fraction(z[1], scale)), False))
+            out.append((ComplexRational(*z, 1 << bits), False))
     return out
 
 
@@ -432,8 +403,7 @@ def _cluster_numeric(roots):
     out = []
     for zs, mults in clusters:
         total = sum(mults)
-        center = ComplexRational(sum(z.re * m for z, m in zip(zs, mults)) / total,
-                                 sum(z.im * m for z, m in zip(zs, mults)) / total)
+        center = sum([z * m for z, m in zip(zs, mults)], ZERO) / total
         out.append(Root(center.rounded(), total, False))
     return out
 

@@ -3,7 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from bcalc.indexsets import (
@@ -13,6 +13,7 @@ from bcalc.indexsets import (
     IndexFamily,
     IndexSet,
     complete,
+    residue_class,
 )
 from bcalc.geometry import model_quadrant
 from bcalc.errors import SchemaError
@@ -345,6 +346,64 @@ def test_jsonable_is_sorted():
     s = S((2, 0), (Fraction(1, 2), 1), (Fraction(1, 2), 0))
     res = [g["re"] for g in s.to_jsonable()["generators"]]
     assert res == sorted(res, key=Fraction)
+
+
+# -- residue classes ---------------------------------------------------------------
+
+gaussians = st.builds(CR, st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12)),
+                      st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)))
+
+
+@st.composite
+def exponent_pairs(draw):
+    """(z, w): w an integer shift of z, or z with another real part (the same
+    imaginary part, often another denominator), or drawn on its own."""
+    z = draw(gaussians)
+    kind = draw(st.sampled_from(("shift", "same imaginary part", "independent")))
+    if kind == "shift":
+        return z, z + draw(st.integers(-5, 5))
+    if kind == "same imaginary part":
+        return z, CR(z.re + draw(st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))), z.im)
+    return z, draw(gaussians)
+
+
+@settings(max_examples=300)
+@given(exponent_pairs())
+@example((CR(Fraction(1, 3), Fraction(1, 2)), CR(Fraction(1, 5), Fraction(1, 2))))
+@example((CR(Fraction(-7, 4), Fraction(1, 2)), CR(Fraction(1, 4), Fraction(1, 2))))
+@example((CR(Fraction(-1, 2)), CR(Fraction(1, 2), Fraction(1, 2))))
+@example((CR(Fraction(-5, 3)), CR(Fraction(2, 6))))
+def test_residue_classes_agree_exactly_when_exponents_differ_by_an_integer(zw):
+    z, w = zw
+    diff = z - w
+    assert (residue_class(z) == residue_class(w)) == (diff.im == 0 and diff.re.denominator == 1)
+    assert [type(x) for x in residue_class(z)] == [int, int, int]
+
+
+def test_the_algebra_reads_only_the_int_form_of_exponents():
+    """With ``re`` and ``im`` refusing to be read, every operation that ends in
+    the canonical reduction still gives its usual result."""
+    half_i = Fraction(1, 2)
+    e = S((Fraction(-1, 2), 1), (CR(Fraction(1, 3), half_i), 0), (2, 0), (CR(0, -1), 3))
+    f = S((Fraction(1, 2), 0), (CR(Fraction(-2, 3), half_i), 2), (-1, 1), (CR(1, -1), 0))
+    raw = [(g.z, g.p) for g in e.generators] + [(CR(Fraction(7, 3), half_i), 1), (3, 2)]
+
+    def operations():
+        return (IndexSet.from_entries(raw), e.union(f), e.extended_union(f), e.sum_with(f),
+                e.shift(Fraction(-1, 3)), e.scale_down(3), S((0, 0)).extended_union(SMOOTH))
+
+    want = operations()
+
+    def refuse(self):
+        raise AssertionError("an index-set operation read a Fraction part")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(CR, "re", property(refuse))
+        mp.setattr(CR, "im", property(refuse))
+        got = operations()
+    assert got == want
+    assert got[-1] == S((0, 1))
+    assert got[2].contains(CR(Fraction(1, 3), half_i), 3)  # (z, 0) and (z - 1, 2) meet at z
 
 
 # -- families --------------------------------------------------------------------
