@@ -47,9 +47,11 @@ COLD_REPEATS = 7
 # argv per subcommand; SMOOTH, OP, SQRT2 and DESC stand for an index-set file, the
 # operator files of z + 1 and z^2 - 2, and a full-calculus descriptor file;
 # BLOWDOWN, QPROJ and PROJ for the b-maps X2b -> quadrant -> half-line and
-# X2b -> half-line, and FAM for an index family on X2b
+# X2b -> half-line, and FAM for an index family on X2b; "space quadrant" loads
+# geometry alone, "space triple" geometry and bmaps
 COLD_START = {
     "--help": ["--help"],
+    "space quadrant": ["space", "quadrant", "-k", "2", "-n", "2"],
     "space triple": ["space", "triple"],
     "indexset extunion": ["indexset", "extunion", "SMOOTH", "SMOOTH"],
     "map compose": ["map", "compose", "BLOWDOWN", "QPROJ"],

@@ -36,7 +36,7 @@ from .errors import (
     NotBElliptic,
     SchemaError,
 )
-from .indexsets import EMPTY, IndexEntry, IndexSet
+from .indexsets import EMPTY, IndexEntry, IndexSet, sort_entries
 from .rationals import ONE, ZERO, ComplexRational, as_fraction
 from .records import Record, _set
 from .rootfinder import Root, polynomial_roots
@@ -118,7 +118,7 @@ def indicial(op: BDiffOp) -> IndicialData:
     entries = [
         IndexEntry(r.value, l) for r in roots for l in range(r.multiplicity)
     ]
-    return IndicialData(poly, roots, tuple(sorted(entries, key=IndexEntry.sort_key)))
+    return IndicialData(poly, roots, sort_entries(entries))
 
 
 _WEIGHT_GAP = Fraction(1e-9)  # exact: a Fraction compared with it converts no float

@@ -15,16 +15,16 @@ Each action loads only the layer it runs, by one rule: this package
 imports nothing of bcalc at the top, and whatever runs a layer imports it
 in its body and calls it through the module.  So a handler imports
 ``indexsets`` for ``indexset complete`` (through ``cli.complete``, which a
-tracer can wrap), ``geometry`` for ``space`` and ``map``, ``transport``
-for ``transport``, ``boperators`` for ``op`` but ``hs``, and ``numeric``
-for ``apply-check`` and ``hs``; ``cli.main`` imports ``serialize`` only
-when the action reads files, and a rational flag, whose string default
-parses too, imports ``rationals``.  ``json`` loads only to write
-``--json`` output or to read files (through ``serialize``).  NumPy loads
-only where floats are crunched, with ``numeric`` in ``apply-check``,
-``hs`` and ``verify``, and only ``verify`` runs QUADPACK and so loads
-SciPy; the float root finder an ``op`` action runs on an indicial factor
-of degree two or more is pure Python.
+tracer can wrap), ``geometry`` for ``space``, ``bmaps`` for ``map`` and
+``space triple``, ``transport`` for ``transport``, ``boperators`` for
+``op`` but ``hs``, and ``numeric`` for ``apply-check`` and ``hs``;
+``cli.main`` imports ``serialize`` only when the action reads files, and a
+rational flag, whose string default parses too, imports ``rationals``.
+``json`` loads only to write ``--json`` output or to read files (through
+``serialize``).  NumPy loads only where floats are crunched, with
+``numeric`` in ``apply-check``, ``hs`` and ``verify``, and only ``verify``
+runs QUADPACK and so loads SciPy; the float root finder an ``op`` action
+runs on an indicial factor of degree two or more is pure Python.
 """
 import argparse
 

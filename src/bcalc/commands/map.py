@@ -2,9 +2,9 @@
 
 
 def _compose(args, f, g):
-    from .. import geometry as geo
+    from .. import bmaps
 
-    c = geo.compose(f, g)
+    c = bmaps.compose(f, g)
     lines = ["exponent matrix rows (source bhs) x columns (target bhs):"]
     for name, row in zip(c.source.bhs_names, c.exponents):
         lines.append(f"  {name:<6} {list(row)}")
@@ -12,18 +12,18 @@ def _compose(args, f, g):
 
 
 def _facemap(args, f):
-    from .. import geometry as geo
+    from .. import bmaps
 
     face = [] if args.face in ("", "-") else args.face.split(",")
-    image = geo.induced_face_map(f, face)
+    image = bmaps.induced_face_map(f, face)
     payload = {"face": sorted(face), "image": sorted(image)}
     return payload, [f"{sorted(face)} -> {sorted(image)}"], 0
 
 
 def _check_bfibration(args, f):
-    from .. import geometry as geo
+    from .. import bmaps
 
-    report = geo.check_b_fibration(f)
+    report = bmaps.check_b_fibration(f)
     lines = [f"codimension condition: {'ok' if report.codim_ok else 'VIOLATED'}"]
     if report.violating_faces:
         lines.append(f"violating bhs: {', '.join(report.violating_faces)}")

@@ -4,7 +4,8 @@
 def _quadrant(args):
     from .. import geometry as geo
 
-    names = tuple(args.names.split(",")) if args.names else None
+    # an explicit empty --names lists no names; only a missing one gives H1, ..., Hk
+    names = None if args.names is None else tuple(args.names.split(",") if args.names else ())
     lat = geo.model_quadrant(args.k, args.n, names)
     payload = lat.to_jsonable()
     lines = [f"quadrant: {args.k} boundary hypersurfaces in dimension {args.n}",
@@ -30,14 +31,15 @@ def _blowup(args, lat):
 
 
 def _triple(args):
+    from .. import bmaps
     from .. import geometry as geo
 
     lattice, _records = geo.triple_b_space()
     payload = {
         "lattice": lattice.to_jsonable(),
-        "blowdown": geo.x3b_blowdown().to_jsonable(),
+        "blowdown": bmaps.x3b_blowdown().to_jsonable(),
         "lifted_projections": {
-            str(i): geo.lifted_projection(i).to_jsonable() for i in (1, 2, 3)
+            str(i): bmaps.lifted_projection(i).to_jsonable() for i in (1, 2, 3)
         },
     }
     lines = [f"triple space bhs: {', '.join(lattice.bhs_names)}",

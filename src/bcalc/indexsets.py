@@ -45,9 +45,6 @@ class IndexEntry(Record):
         _set(self, "z", z)
         _set(self, "p", p)
 
-    def sort_key(self):
-        return (self.z.re, self.z.im, self.p)
-
     def to_jsonable(self) -> dict:
         return {**self.z.to_jsonable(), "p": self.p}
 
@@ -61,6 +58,18 @@ class IndexEntry(Record):
             return value
         z, p = value
         return cls(ComplexRational.of(z), p)
+
+
+def sort_entries(entries) -> tuple:
+    """Entries sorted by (Re z, Im z, p), compared as ints over one common denominator."""
+    entries = list(entries)
+    n = math.lcm(*[e.z.d for e in entries])
+
+    def key(e):
+        m = n // e.z.d
+        return e.z.a * m, e.z.b * m, e.p
+
+    return tuple(sorted(entries, key=key))
 
 
 def _reduce(entries) -> frozenset:
@@ -118,7 +127,8 @@ class IndexSet(Record):
         """
         if not self.generators:
             return math.inf
-        return min(g.z.re for g in self.generators)
+        n = math.lcm(*[g.z.d for g in self.generators])
+        return min(self.generators, key=lambda g: g.z.a * (n // g.z.d)).z.re
 
     # -- algebra ----------------------------------------------------------
 
@@ -190,24 +200,26 @@ class IndexSet(Record):
         ``ValueError``.
         """
         limit = as_fraction(bound)
-        chains = {}
-        for g in sorted(self.generators, key=lambda g: g.z.re):
+        chains = {}  # a class shares d, so a orders it by Re z
+        for g in sorted(self.generators, key=lambda g: g.z.a):
             chains.setdefault(residue_class(g.z), []).append(g)
         runs = []  # (generator, number of integer steps it covers)
-        for chain in chains.values():
-            ends = [g.z.re - 1 for g in chain[1:]] + [limit]
-            runs += [(g, math.floor(min(end, limit) - g.z.re) + 1)
-                     for g, end in zip(chain, ends) if g.z.re <= limit]
+        for (d, _, _), chain in chains.items():
+            top = limit.numerator * d // limit.denominator  # floor(limit * d)
+            ends = [g.z.a - d for g in chain[1:]] + [top]
+            runs += [(g, (min(end, top) - g.z.a) // d + 1)
+                     for g, end in zip(chain, ends) if g.z.a <= top]
         if sum(n * (g.p + 1) for g, n in runs) > _TRUNCATE_BUDGET:
             raise ValueError(f"truncation at Re z <= {limit} has more than the budget "
                              f"of {_TRUNCATE_BUDGET} members")
-        members = (IndexEntry(g.z + k, p) for g, n in runs for k in range(n) for p in range(g.p + 1))
-        return tuple(sorted(members, key=IndexEntry.sort_key))
+        members = (IndexEntry(ComplexRational(g.z.a + k * g.z.d, g.z.b, g.z.d), p)
+                   for g, n in runs for k in range(n) for p in range(g.p + 1))
+        return sort_entries(members)
 
     # -- serialization ----------------------------------------------------
 
     def sorted_generators(self):
-        return tuple(sorted(self.generators, key=IndexEntry.sort_key))
+        return sort_entries(self.generators)
 
     def to_jsonable(self) -> dict:
         return {"generators": [g.to_jsonable() for g in self.sorted_generators()]}

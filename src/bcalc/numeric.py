@@ -352,12 +352,13 @@ def fit_expansion(x, values, candidate: IndexSet, cutoff) -> PhgExpansion:
     relative to the data scale, where coefficient leakage hides any decay).
 
     A Householder QR of the column-scaled basis A_s, in numpy ufuncs, serves the guard (cond(R)
-    = cond(A_s), ``_cond2`` on R and R^-1), the solve c = R^-1 Q^T v by back substitution, and
-    two refinement steps c += R^-1 Q^T r by that R^-1, each row of r = v - A_s c summed by
-    ``math.fsum``.  No BLAS or LAPACK routine runs (the first call of one makes OpenBLAS take
-    about 1 MB).  At acceptance case 3's cond(A_s) = 9e11 a float residual loses digits to
-    cancellation; refined, its x^2 log x coefficient is off by 1.5e-9, as a 50-digit solve's
-    is.  ``ConditioningError`` refuses a zero column, fewer points than columns or cond(A_s)
+    = cond(A_s): the bound ||R||_F ||R^-1||_F, then ``_cond2`` on R and R^-1 if that bound is
+    over the guard), the solve c = R^-1 Q^T v by back substitution, and two refinement steps
+    c += R^-1 Q^T r by that R^-1, each row of r = v - A_s c summed by ``math.fsum``.  No BLAS
+    or LAPACK routine runs (the first call of one makes OpenBLAS take about 1 MB).  At
+    acceptance case 3's cond(A_s) = 9e11 a float residual loses digits to cancellation;
+    refined, its x^2 log x coefficient is off by 1.5e-9, as a 50-digit solve's is.
+    ``ConditioningError`` refuses a zero column, fewer points than columns or cond(A_s)
     over ``_COND_GUARD``; a grid point that is not finite and positive, a non-finite sample,
     or grid and samples of different lengths are a ValueError.
     """
@@ -408,7 +409,11 @@ def fit_expansion(x, values, candidate: IndexSet, cutoff) -> PhgExpansion:
     r = np.triu(r[:len(cols)])
     with np.errstate(all="ignore"):  # a singular R has an R^-1 that is not finite
         r_inv = _back_substitute(r, np.eye(len(r)))
-        cond = _cond2(r, r_inv)
+        # ||R||_F ||R^-1||_F is _cond2's first bracket, which its later steps only
+        # lower: under the guard it accepts the basis, else (or if NaN) _cond2 decides
+        cond = math.sqrt((r * r).sum() * (r_inv * r_inv).sum())
+        if not cond <= _COND_GUARD:
+            cond = _cond2(r, r_inv)
     if cond > _COND_GUARD:
         raise ConditioningError(
             f"basis condition number {cond:.3g} exceeds the guard {_COND_GUARD:.3g}"

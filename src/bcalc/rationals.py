@@ -4,8 +4,10 @@ All exponents and exact coefficients in the package are Gaussian rationals,
 each held in one normal form: the ints (a, b, d) of (a + bi)/d, with
 gcd(a, b, d) = 1 and d > 0.  Their arithmetic is written once, on (re, im)
 int pairs (``_gmul``, ``_gadd``, ``_gsub``, ``_gquo``, ``_ggcd``), the root
-finder's polynomial core too.  ``re`` and ``im`` read the parts as
-``Fraction``s; the output order used everywhere is lexicographic in (re, im).
+finder's polynomial core too.  ``re`` and ``im`` build the parts as
+``Fraction``s on each read, so printing reads the ints (``_ratio``); the
+output order used everywhere is lexicographic in (re, im), which the
+index-set sorts compare as ints over a common denominator.
 
 No float is rounded into a Fraction by the library: ``as_fraction`` refuses
 a float, and the root finder stores an inexact root as the rational nearest
@@ -85,6 +87,12 @@ def _ggcd(a, b):
     return a
 
 
+def _ratio(n: int, d: int) -> str:
+    """``str(Fraction(n, d))`` for d > 0, printed from the ints."""
+    g = math.gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
 class ComplexRational(Record):
     """(a + bi)/d in ints, gcd(a, b, d) = 1, d > 0, from int or Fraction parts: (re + i im)/d."""
 
@@ -124,7 +132,7 @@ class ComplexRational(Record):
                                self.im.limit_denominator(_FLOAT_RATIONALIZE_DEN))
 
     def to_jsonable(self) -> dict:
-        return {"re": str(self.re), "im": str(self.im)}
+        return {"re": _ratio(self.a, self.d), "im": _ratio(self.b, self.d)}
 
     @classmethod
     def from_jsonable(cls, data) -> "ComplexRational":
@@ -168,9 +176,9 @@ class ComplexRational(Record):
 
     def __str__(self) -> str:
         if self.b == 0:
-            return str(self.re)
+            return _ratio(self.a, self.d)
         sign = "+" if self.b >= 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
+        return f"{_ratio(self.a, self.d)}{sign}{_ratio(abs(self.b), self.d)}i"
 
 
 ZERO = ComplexRational()

@@ -10,7 +10,8 @@ constructor, and whatever the reader or the constructor raises is reported
 here.  ``indexsets``, ``geometry`` and ``boperators`` are each imported
 only in the branch that reads one of their schemas, so reading a b-map
 loads no index-set layer and reading an index set loads neither of the
-others.
+others.  A b-map reads as a ``geometry.BMapDescriptor``, so no file read
+loads ``bmaps``, the b-map algebra: only an action that runs it does.
 """
 from __future__ import annotations
 

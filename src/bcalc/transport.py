@@ -19,7 +19,8 @@ from __future__ import annotations
 import itertools
 
 from .errors import BMapError, NotBFibration
-from .geometry import BMapDescriptor, check_b_fibration
+from .bmaps import check_b_fibration
+from .geometry import BMapDescriptor
 from .indexsets import EMPTY, SMOOTH, IndexFamily, IndexSet
 from .records import Record
 

@@ -12,12 +12,13 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import bmaps
 from . import boperators as bop
 from . import geometry as geo
 from . import numeric as num
 from . import transport
 from .errors import CompositionUndefined, IntegrabilityError
-from .indexsets import EMPTY, SMOOTH, IndexEntry, IndexFamily, IndexSet
+from .indexsets import EMPTY, SMOOTH, IndexEntry, IndexFamily, IndexSet, sort_entries
 from .rationals import ComplexRational
 from .records import Record
 
@@ -41,7 +42,7 @@ def case_extended_union_law():
 
 
 def case_pushforward_symbolic():
-    f = geo.halfline_projection(1)
+    f = bmaps.halfline_projection(1)
     fam = IndexFamily.of(
         {"lb": SMOOTH, "ff": SMOOTH, "rb": IndexSet.from_entries([(1, 0)])},
         f.source,
@@ -75,7 +76,7 @@ def case_pushforward_numeric():
     bd, one = geo.x2b_blowdown(), IndexSet.from_entries([(1, 0)])
     xy = transport.pull_back_family(bd, IndexFamily.of({"Hx": one, "Hy": one}, bd.target))
     u_ff = IndexFamily.of({"lb": SMOOTH, "ff": one, "rb": SMOOTH}, bd.source)
-    pushed = transport.push_forward_halfline(geo.halfline_projection(1), xy.sum_with(u_ff))
+    pushed = transport.push_forward_halfline(bmaps.halfline_projection(1), xy.sum_with(u_ff))
     predicted = pushed.result.shift(-1)
     fit = num.fit_expansion(grid, samples.values, LOG_SET, 8)
     report = num.compare_with_prediction(fit, predicted, 8)
@@ -130,11 +131,11 @@ def case_pullback_random():
 
 
 def case_bfibration_checker():
-    down = geo.check_b_fibration(geo.x2b_blowdown())
+    down = bmaps.check_b_fibration(geo.x2b_blowdown())
     assert not down.codim_ok and down.violating_faces == ("ff",), down
     assert len(geo.x3b_lattice().bhs_names) == 7
-    pi3 = geo.lifted_projection(3)
-    up = geo.check_b_fibration(pi3)
+    pi3 = bmaps.lifted_projection(3)
+    up = bmaps.check_b_fibration(pi3)
     assert up.verdict, up
     table = {
         "bf1": {"lb"}, "ff2": {"lb"},
@@ -143,7 +144,7 @@ def case_bfibration_checker():
         "bf3": set(),
     }
     for g, image in table.items():
-        got = geo.induced_face_map(pi3, {g})
+        got = bmaps.induced_face_map(pi3, {g})
         assert got == frozenset(image), f"{g} -> {sorted(got)}"
     return "blow-down fails at ff; lifted projection passes with the exact bhs table", ()
 
@@ -161,7 +162,7 @@ def case_matrix_functoriality():
         lc = geo.model_quadrant(kc, kc)
         f = geo.BMapDescriptor(la, lb_, _random_projection_matrix(rng, ka, kb))
         g = geo.BMapDescriptor(lb_, lc, _random_projection_matrix(rng, kb, kc))
-        composed = geo.compose(f, g)
+        composed = bmaps.compose(f, g)
         # independent oracle: substitute monomial exponent dictionaries
         for i, gname in enumerate(la.bhs_names):
             for j, kname in enumerate(lc.bhs_names):
@@ -170,8 +171,8 @@ def case_matrix_functoriality():
                 )
                 assert composed.exponents[i][j] == total
     for i in (1, 2, 3):
-        left = geo.compose(geo.lifted_projection(i), geo.x2b_blowdown())
-        right = geo.compose(geo.x3b_blowdown(), geo.quadrant_projection(i))
+        left = bmaps.compose(bmaps.lifted_projection(i), geo.x2b_blowdown())
+        right = bmaps.compose(bmaps.x3b_blowdown(), bmaps.quadrant_projection(i))
         assert left.exponents == right.exponents, f"square {i} does not commute"
     return "50 random compositions follow the matrix product; all 3 squares commute", ()
 
@@ -183,16 +184,11 @@ def case_spec_b():
         assert ind.spec_b == (IndexEntry(ComplexRational.of(-c), 0),)
     op = bop.BDiffOp.from_lists([[0], [0], [1], [1]])  # (x d/dx)^2 (x d/dx + 1)
     ind = bop.indicial(op)
-    expected = tuple(
-        sorted(
-            [
-                IndexEntry(ComplexRational.of(-1), 0),
-                IndexEntry(ComplexRational.of(0), 0),
-                IndexEntry(ComplexRational.of(0), 1),
-            ],
-            key=IndexEntry.sort_key,
-        )
-    )
+    expected = sort_entries([
+        IndexEntry(ComplexRational.of(-1), 0),
+        IndexEntry(ComplexRational.of(0), 0),
+        IndexEntry(ComplexRational.of(0), 1),
+    ])
     assert ind.spec_b == expected, ind.spec_b
     # perturbed double root: z^2 - 2z + (1 - 2e-20), roots 1 +- sqrt(2)e-10
     eps = Fraction(2, 10**20)

@@ -15,6 +15,7 @@ from pathlib import Path
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from bcalc import bmaps
 from bcalc import boperators as bop
 from bcalc import cli, commands, rootfinder, serialize, verify
 from bcalc import geometry as geo
@@ -90,20 +91,20 @@ def test_check_bfibration_exit_codes(tmp_path, capsys):
     assert data["violating_faces"] == ["ff"]
     assert data["b_fibration"] is False
 
-    pi3 = write(tmp_path, "pi3.json", geo.lifted_projection(3))
+    pi3 = write(tmp_path, "pi3.json", bmaps.lifted_projection(3))
     code, out = run(capsys, "--json", "map", "check-bfibration", pi3)
     assert code == 0
     assert json.loads(out)["b_fibration"] is True
 
 
 def test_map_compose_and_facemap(tmp_path, capsys):
-    pi3 = write(tmp_path, "pi3.json", geo.lifted_projection(3))
+    pi3 = write(tmp_path, "pi3.json", bmaps.lifted_projection(3))
     bd = write(tmp_path, "bd.json", geo.x2b_blowdown())
     code, out = run(capsys, "--json", "map", "compose", pi3, bd)
     assert code == 0
     composed = json.loads(out)
-    assert composed["e"] == [list(r) for r in
-                             geo.compose(geo.lifted_projection(3), geo.x2b_blowdown()).exponents]
+    expected = bmaps.compose(bmaps.lifted_projection(3), geo.x2b_blowdown())
+    assert composed["e"] == [list(r) for r in expected.exponents]
     code, out = run(capsys, "--json", "map", "facemap", bd, "--face", "ff")
     assert code == 0
     assert json.loads(out)["image"] == ["Hx", "Hy"]
@@ -144,8 +145,19 @@ def test_space_refuses_bhs_names_that_cannot_be_addressed(tmp_path, capsys):
         assert "must be a non-empty string without ','" in captured.err, argv
 
 
+def test_space_quadrant_reads_an_empty_names_flag_as_no_names(capsys):
+    # "" is zero names, not a missing flag: k = 2 is refused, k = 0 is the point
+    assert main(["space", "quadrant", "-k", "2", "-n", "2", "--names", ""]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err.count("\n")) == ("", 1)
+    assert "number of names must equal k" in captured.err
+    code, out = run(capsys, "--json", "space", "quadrant", "-k", "0", "-n", "2", "--names", "")
+    assert code == 0
+    assert json.loads(out) == {"dim": 2, "bhs": [], "faces": [[]]}
+
+
 def test_transport_pushforward_exit_codes(tmp_path, capsys):
-    proj = write(tmp_path, "proj.json", geo.halfline_projection(1))
+    proj = write(tmp_path, "proj.json", bmaps.halfline_projection(1))
     lat = geo.x2b_lattice()
     ok_fam = write(tmp_path, "fam.json", IndexFamily.of(
         {"lb": SMOOTH, "ff": SMOOTH, "rb": IndexSet.from_entries([(1, 0)])}, lat))
@@ -176,7 +188,7 @@ def test_transport_pullback(tmp_path, capsys):
 def test_transport_pushforward_along_a_lifted_projection(tmp_path, capsys):
     # a target with three faces gives a family: each face gets the extended
     # union of its two preimages, here two smooth sets
-    pi3 = geo.lifted_projection(3)
+    pi3 = bmaps.lifted_projection(3)
     fam = {n: SMOOTH if any(row) else SMOOTH.shift(1)
            for n, row in zip(pi3.source.bhs_names, pi3.exponents)}
     fpi, ffam = write(tmp_path, "pi3.json", pi3), write(tmp_path, "fam.json", IndexFamily.of(fam))
@@ -217,7 +229,7 @@ def test_indexset_complete_reads_an_index_set(tmp_path, capsys):
 def test_each_action_refuses_what_it_does_not_read(tmp_path, capsys):
     smooth = write(tmp_path, "smooth.json", SMOOTH)
     op = write(tmp_path, "op.json", bop.BDiffOp.from_lists([[1], [1]]))
-    proj = write(tmp_path, "proj.json", geo.halfline_projection(1))
+    proj = write(tmp_path, "proj.json", bmaps.halfline_projection(1))
     unread = [
         ["op", "specb", op, "--gamma", "0"],
         ["op", "specb", op, "--steps", "9"],
@@ -591,7 +603,7 @@ def test_malformed_input_is_exit_1(tmp_path, capsys):
         assert captured.out == "" and len(captured.err.strip().splitlines()) == 1, gen
     # more chains than the budget from a push-forward's scale_down, more faces from -k
     fam = write(tmp_path, "fam.json", IndexFamily.of({n: SMOOTH for n in ("lb", "rb", "ff")}))
-    big_e = write(tmp_path, "big-e.json", {**geo.halfline_projection(1).to_jsonable(),
+    big_e = write(tmp_path, "big-e.json", {**bmaps.halfline_projection(1).to_jsonable(),
                                            "e": [[100000], [0], [1]]})
     for argv in (["transport", "pushforward", big_e, fam], ["space", "quadrant", "-k", "14", "-n", "14"]):
         start = time.perf_counter()
@@ -600,7 +612,7 @@ def test_malformed_input_is_exit_1(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == "" and len(captured.err.strip().splitlines()) == 1, argv
     # values are taken as written: each file below once read as a valid object
-    proj = geo.halfline_projection(1).to_jsonable()  # a b-fibration with e = [[1], [0], [1]]
+    proj = bmaps.halfline_projection(1).to_jsonable()  # a b-fibration with e = [[1], [0], [1]]
     check = ["map", "check-bfibration", "FILE"]
     coerced = {
         "e-float.json": ({**proj, "e": [[1.7], [0], [1]]}, check),
@@ -692,7 +704,7 @@ def test_any_json_is_read_or_refused_in_one_line(data):
 
 def test_only_quadrature_loads_scipy(tmp_path):
     smooth = write(tmp_path, "smooth.json", SMOOTH)
-    proj = write(tmp_path, "proj.json", geo.halfline_projection(1))
+    proj = write(tmp_path, "proj.json", bmaps.halfline_projection(1))
     fam = write(tmp_path, "fam.json", IndexFamily.of(
         {"lb": SMOOTH, "ff": SMOOTH, "rb": IndexSet.from_entries([(1, 0)])}, geo.x2b_lattice()))
     desc = write(tmp_path, "desc.json", bop.FullCalcDescriptor(-1.0, EMPTY, SMOOTH.shift(1)))
@@ -729,10 +741,12 @@ print(json.dumps({{"codes": codes, "loaded": loaded, "apply": json.loads(out.get
 
 def test_each_action_loads_only_its_layer(tmp_path):
     smooth = write(tmp_path, "smooth.json", SMOOTH)
-    proj = write(tmp_path, "proj.json", geo.halfline_projection(1))
+    proj = write(tmp_path, "proj.json", bmaps.halfline_projection(1))
     fam = write(tmp_path, "fam.json", IndexFamily.of(
         {"lb": SMOOTH, "ff": SMOOTH, "rb": IndexSet.from_entries([(1, 0)])}, geo.x2b_lattice()))
-    pi2 = write(tmp_path, "pi2.json", geo.lifted_projection(2))
+    fam_h = write(tmp_path, "fam_h.json", IndexFamily.of({"H": SMOOTH}))
+    pi2 = write(tmp_path, "pi2.json", bmaps.lifted_projection(2))
+    quad = write(tmp_path, "quad.json", geo.model_quadrant(2, 2))
     desc = write(tmp_path, "desc.json", bop.FullCalcDescriptor(-1.0, EMPTY, SMOOTH.shift(1)))
     op = write(tmp_path, "op.json", bop.BDiffOp.from_lists([[1], [1]]))
     sqrt2 = write(tmp_path, "sqrt2.json", bop.BDiffOp.from_lists([[-2], [0], [1]]))
@@ -761,8 +775,10 @@ print(json.dumps([code, sorted(m for m in loaded if m.split(".")[0] == "bcalc"),
                   [m for m in ("json", "__future__") if m in loaded]]))
 """
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    # the spaces need no index sets, no rationals and no serializer
+    # the spaces need no index sets, no rationals, no serializer and no b-map
+    # algebra; whatever maps between spaces loads bmaps
     spaces = {"bcalc", "cli", "errors", "records", "geometry"}
+    maps = spaces | {"bmaps"}
 
     def loads(*argv, rationals=True, numpy=False, reads_json=True):
         proc = subprocess.run([sys.executable, "-c", child, *argv],
@@ -781,20 +797,27 @@ print(json.dumps([code, sorted(m for m in loaded if m.split(".")[0] == "bcalc"),
         assert actions == ({"commands", f"commands.{command}"} if command else set()), (argv, actions)
         modules -= actions
         # json loads to write --json output or to read files, and __future__
-        # only with a layer beyond the spaces
+        # only with a layer beyond the spaces and the maps between them
         assert ("json" in light) == reads_json, (argv, light)
-        assert ("__future__" in light) == bool(modules - spaces), (argv, light)
+        assert ("__future__" in light) == bool(modules - maps), (argv, light)
         return modules
 
     core = {"bcalc", "cli", "errors", "indexsets", "rationals", "records", "serialize"}
     # the exact layers are records, not dataclasses: no dataclasses, no inspect
     assert loads(rationals=False, reads_json=False) == spaces
     assert loads("--help", rationals=False, reads_json=False) == spaces - {"geometry", "records"}
-    assert loads("space", "triple", rationals=False, reads_json=False) == spaces
-    assert loads("space", "triple", "--json", rationals=False) == spaces
-    assert loads("map", "compose", pi2, proj, rationals=False) == spaces | {"serialize"}
+    assert loads("space", "quadrant", "-k", "2", "-n", "2", rationals=False,
+                 reads_json=False) == spaces
+    assert loads("space", "blowup", quad, "--center", "H1,H2", "--name", "ff",
+                 rationals=False) == spaces | {"serialize"}
+    assert loads("space", "triple", rationals=False, reads_json=False) == maps
+    assert loads("space", "triple", "--json", rationals=False) == maps
+    assert loads("map", "compose", pi2, proj, rationals=False) == maps | {"serialize"}
+    assert loads("map", "facemap", proj, rationals=False) == maps | {"serialize"}
+    assert loads("map", "check-bfibration", proj, rationals=False) == maps | {"serialize"}
     assert loads("indexset", "extunion", smooth, smooth) == core
-    assert loads("transport", "pushforward", proj, fam) == core | {"geometry", "transport"}
+    assert loads("transport", "pushforward", proj, fam) == core | maps | {"transport"}
+    assert loads("transport", "pullback", proj, fam_h) == core | maps | {"transport"}
     # the exact calculus loads its root finder, and neither loads NumPy,
     # for a first-order operator or a quadratic factor, real or complex
     assert loads("op", "compose", desc, desc) == core | {"boperators", "rootfinder"}
@@ -807,11 +830,12 @@ print(json.dumps([code, sorted(m for m in loaded if m.split(".")[0] == "bcalc"),
     # so does the HS probe, which reads no file and needs no exact calculus
     assert loads("op", "hs", numpy=True, reads_json=False) == core - {"serialize"} | {"numeric"}
     # the acceptance suite's layers, numeric among them, are records too
-    # (NumPy itself loads inspect)
+    # (NumPy itself loads inspect), and it checks the b-map algebra, so loads bmaps
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, bcalc.verify; print('dataclasses' in sys.modules)"],
+        [sys.executable, "-c", "import sys, bcalc.verify; "
+         "print('dataclasses' in sys.modules, 'bcalc.bmaps' in sys.modules)"],
         capture_output=True, text=True, env=env)
-    assert proc.returncode == 0 and proc.stdout == "False\n", proc.stderr
+    assert proc.returncode == 0 and proc.stdout == "False True\n", proc.stderr
 
 
 def test_the_traced_names_of_cli_stay_the_calls_it_makes(tmp_path, monkeypatch):
@@ -834,8 +858,8 @@ def test_the_traced_names_of_cli_stay_the_calls_it_makes(tmp_path, monkeypatch):
     raw = write(tmp_path, "raw.json", {"entries": [{"re": "0", "im": "0", "p": 0}]})
     assert main(["indexset", "complete", raw]) == 0
     assert seen == ["complete"]
-    proj = write(tmp_path, "proj.json", geo.halfline_projection(1))
-    pi2 = write(tmp_path, "pi2.json", geo.lifted_projection(2))
+    proj = write(tmp_path, "proj.json", bmaps.halfline_projection(1))
+    pi2 = write(tmp_path, "pi2.json", bmaps.lifted_projection(2))
     assert main(["map", "compose", pi2, proj]) == 0
     assert seen == ["complete", "BMapDescriptor", "BMapDescriptor"]
 

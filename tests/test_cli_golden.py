@@ -89,6 +89,7 @@ _CALLS = [
 
 def _inputs():
     """The input files as text, built through the library."""
+    from bcalc import bmaps
     from bcalc import boperators as bop
     from bcalc import geometry as geo
     from bcalc.indexsets import EMPTY, SMOOTH, IndexFamily, IndexSet
@@ -98,7 +99,7 @@ def _inputs():
     x2b = geo.x2b_lattice()
     fam_q = IndexFamily.of({"Hx": IndexSet.from_entries([(half, 0)]),
                             "Hy": IndexSet.from_entries([(1, 0)])}, geo.x2b_blowdown().target)
-    lp3 = geo.lifted_projection(3)
+    lp3 = bmaps.lifted_projection(3)
     fam3 = IndexFamily.of({n: SMOOTH if any(row) else SMOOTH.shift(1)
                            for n, row in zip(lp3.source.bhs_names, lp3.exponents)})
     objects = {
@@ -107,9 +108,9 @@ def _inputs():
         "entries.json": {"entries": [{"re": "-1", "p": 0}, {"re": "0", "im": "0", "p": 1}]},
         "quad.json": geo.model_quadrant(2, 2, ("Hx", "Hy")),
         "blowdown_x2b.json": geo.x2b_blowdown(),
-        "lp2.json": geo.lifted_projection(2),
+        "lp2.json": bmaps.lifted_projection(2),
         "lp3.json": lp3,
-        "proj.json": geo.halfline_projection(1),
+        "proj.json": bmaps.halfline_projection(1),
         "fam_q.json": fam_q,
         "family.json": IndexFamily.of(
             {"lb": SMOOTH, "ff": SMOOTH, "rb": IndexSet.from_entries([(1, 0)])}, x2b),

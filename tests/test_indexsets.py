@@ -342,6 +342,30 @@ def test_operations_match_membership_by_definition(raw_e, raw_f):
             assert e.contains(z, p) == ((z, p) in me), (z, p)
 
 
+def _text(z):
+    """A scalar printed from its Fraction parts."""
+    if z.im == 0:
+        return str(z.re)
+    return f"{z.re}{'+' if z.im >= 0 else '-'}{abs(z.im)}i"
+
+
+@settings(max_examples=150)
+@given(raw_entries)
+def test_order_text_and_json_read_as_from_the_fraction_parts(raw):
+    """Sorting, truncating, printing and inf Re z, done on the ints, agree with
+    the same work done on ``re`` and ``im``."""
+    e = IndexSet.from_entries(raw)
+    by_parts = sorted(e.generators, key=lambda g: (g.z.re, g.z.im, g.p))
+    assert list(e.sorted_generators()) == by_parts
+    assert e.to_jsonable() == {"generators": [
+        {"re": str(g.z.re), "im": str(g.z.im), "p": g.p} for g in by_parts]}
+    assert str(e) == ("{" + ", ".join(f"({_text(g.z)},{g.p})" for g in by_parts) + "}+N0"
+                      if by_parts else "{}")
+    members = sorted(members_by_definition(raw, BOUND), key=lambda m: (m[0].re, m[0].im, m[1]))
+    assert [(m.z, m.p) for m in e.truncate(BOUND)] == members
+    assert e.inf_re() == min((g.z.re for g in e.generators), default=math.inf)
+
+
 def test_jsonable_is_sorted():
     s = S((2, 0), (Fraction(1, 2), 1), (Fraction(1, 2), 0))
     res = [g["re"] for g in s.to_jsonable()["generators"]]
@@ -382,7 +406,8 @@ def test_residue_classes_agree_exactly_when_exponents_differ_by_an_integer(zw):
 
 def test_the_algebra_reads_only_the_int_form_of_exponents():
     """With ``re`` and ``im`` refusing to be read, every operation that ends in
-    the canonical reduction still gives its usual result."""
+    the canonical reduction, and every sort, truncation and print of a set,
+    still gives its usual result."""
     half_i = Fraction(1, 2)
     e = S((Fraction(-1, 2), 1), (CR(Fraction(1, 3), half_i), 0), (2, 0), (CR(0, -1), 3))
     f = S((Fraction(1, 2), 0), (CR(Fraction(-2, 3), half_i), 2), (-1, 1), (CR(1, -1), 0))
@@ -392,7 +417,10 @@ def test_the_algebra_reads_only_the_int_form_of_exponents():
         return (IndexSet.from_entries(raw), e.union(f), e.extended_union(f), e.sum_with(f),
                 e.shift(Fraction(-1, 3)), e.scale_down(3), S((0, 0)).extended_union(SMOOTH))
 
-    want = operations()
+    def readers():  # sorting, truncating and printing work on the ints too
+        return e.sorted_generators(), e.truncate(3), e.to_jsonable(), str(e), str(f)
+
+    want, want_read = operations(), readers()
 
     def refuse(self):
         raise AssertionError("an index-set operation read a Fraction part")
@@ -400,8 +428,8 @@ def test_the_algebra_reads_only_the_int_form_of_exponents():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(CR, "re", property(refuse))
         mp.setattr(CR, "im", property(refuse))
-        got = operations()
-    assert got == want
+        got, got_read = operations(), readers()
+    assert got == want and got_read == want_read
     assert got[-1] == S((0, 1))
     assert got[2].contains(CR(Fraction(1, 3), half_i), 3)  # (z, 0) and (z - 1, 2) meet at z
 

@@ -278,6 +278,34 @@ def test_fit_condition_guard_decides_as_the_basis_condition_number(ratio, refuse
         assert fit.fit_residual < 1e-12
 
 
+def test_fit_guard_runs_the_full_estimate_only_past_the_frobenius_bound(monkeypatch):
+    # exponents k/50 on 30 points, about the guard.  ||R||_F ||R^-1||_F bounds
+    # cond(R) above: a basis under the guard by it is accepted without _cond2;
+    # past it, _cond2 decides, and a refusal prints _cond2's estimate
+    exponents = [Fraction(k, 50) for k in range(8)]
+    candidate = S(*[(z, 0) for z in exponents])
+    calls, cond2 = [], num._cond2
+    monkeypatch.setattr(num, "_cond2", lambda r, r_inv: calls.append(1) or cond2(r, r_inv))
+    for ratio, bound_over, refused in ((0.827, False, False), (0.82775, True, False),
+                                       (0.828, True, True)):
+        grid = num.geometric_grid(0.5, ratio, 30)
+        a = np.column_stack([grid ** float(z) for z in exponents])
+        a_scaled = a / np.linalg.norm(a, axis=0)
+        r = np.linalg.qr(a_scaled)[1]
+        bound = np.linalg.norm(r) * np.linalg.norm(np.linalg.inv(r))
+        cond = np.linalg.cond(a_scaled)
+        assert (bound > num._COND_GUARD, cond > num._COND_GUARD) == (bound_over, refused)
+        calls.clear()
+        data = 1.0 + grid ** 0.06  # in the span of the basis
+        if refused:
+            with pytest.raises(ConditioningError) as info:
+                num.fit_expansion(grid, data, candidate, Fraction(7, 50))
+            assert str(info.value) == f"basis condition number {cond:.3g} exceeds the guard 1e+13"
+        else:
+            assert num.fit_expansion(grid, data, candidate, Fraction(7, 50)).fit_residual < 1e-12
+        assert calls == [1] * bound_over, ratio
+
+
 def test_fit_refuses_fewer_points_than_basis_columns():
     grid = num.geometric_grid(0.3, 0.9, 5)  # 5 points against N0 x {0,1} up to 8: 18 columns
     with pytest.raises(ConditioningError, match="5 grid points cannot fit 18 basis columns"):

@@ -9,6 +9,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from bcalc import bmaps
 from bcalc import boperators as bop
 from bcalc import geometry as geo
 from bcalc import numeric as num
@@ -68,8 +69,8 @@ CASES = {
         f"front_face_name='ff', blowdown=BMapDescriptor(source={POINT_REPR}, "
         f"target={POINT_REPR}, exponents=(), fibration_on_faces=True))"),
     "BFibrationReport": (
-        lambda: geo.check_b_fibration(geo.halfline_projection(1)),
-        lambda: geo.check_b_fibration(geo.halfline_projection(2)),
+        lambda: bmaps.check_b_fibration(bmaps.halfline_projection(1)),
+        lambda: bmaps.check_b_fibration(bmaps.halfline_projection(2)),
         "BFibrationReport(codim_ok=True, violating_faces=(), images=(('lb', ('H',)), "
         "('rb', ()), ('ff', ('H',))), fibration_on_faces=True)"),
     "TransportReport": (

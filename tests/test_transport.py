@@ -1,9 +1,13 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
+from bcalc import bmaps
 from bcalc import geometry as geo
 from bcalc import numeric as num
 from bcalc import transport
@@ -33,7 +37,7 @@ def test_pullback_monomial_through_corner_blowdown():
 
 
 def test_pullback_through_second_factor_projection():
-    pi2 = geo.halfline_projection(2)
+    pi2 = bmaps.halfline_projection(2)
     fam = IndexFamily.of({"H": S((Fraction(1, 2), 1))}, pi2.target)
     pulled = transport.pull_back_family(pi2, fam)
     assert pulled["lb"] == SMOOTH  # maps off the boundary: smooth behavior
@@ -87,7 +91,7 @@ def test_pullback_inf_is_weighted_sum_of_infs():
 
 
 def test_pushforward_smooth_data_makes_one_log():
-    f = geo.halfline_projection(1)
+    f = bmaps.halfline_projection(1)
     fam = IndexFamily.of({"lb": SMOOTH, "ff": SMOOTH, "rb": S((1, 0))}, f.source)
     report = transport.push_forward_halfline(f, fam)
     assert report.integrability_ok
@@ -95,7 +99,7 @@ def test_pushforward_smooth_data_makes_one_log():
 
 
 def test_pushforward_empty_side_stays_smooth():
-    f = geo.halfline_projection(1)
+    f = bmaps.halfline_projection(1)
     fam = IndexFamily.of({"lb": EMPTY, "ff": SMOOTH, "rb": S((1, 0))}, f.source)
     report = transport.push_forward_halfline(f, fam)
     assert report.result == SMOOTH
@@ -113,7 +117,7 @@ def test_pushforward_scales_exponents_by_vanishing_order():
 
 
 def test_pushforward_integrability_flags():
-    f = geo.halfline_projection(1)
+    f = bmaps.halfline_projection(1)
     fam = IndexFamily.of({"lb": SMOOTH, "ff": SMOOTH, "rb": S((0, 0))}, f.source)
     report = transport.push_forward_halfline(f, fam)
     assert not report.integrability_ok
@@ -122,14 +126,14 @@ def test_pushforward_integrability_flags():
 
 
 def test_pushforward_needs_halfline_target():
-    pi3 = geo.lifted_projection(3)
+    pi3 = bmaps.lifted_projection(3)
     fam = IndexFamily.of({n: SMOOTH for n in pi3.source.bhs_names}, pi3.source)
     with pytest.raises(BMapError):
         transport.push_forward_halfline(pi3, fam)
 
 
 def test_face_table_records_every_face():
-    f = geo.halfline_projection(1)
+    f = bmaps.halfline_projection(1)
     fam = IndexFamily.of({"lb": SMOOTH, "ff": SMOOTH, "rb": S((1, 0))}, f.source)
     table = transport.push_forward_halfline(f, fam).face_contributions["H"]
     assert set(table) == set(f.source.proper_faces())
@@ -156,7 +160,7 @@ def test_pushforward_family_refuses_blowdown():
 
 
 def test_pushforward_family_through_lifted_projection():
-    pi3 = geo.lifted_projection(3)
+    pi3 = bmaps.lifted_projection(3)
     fam = IndexFamily.of(
         {n: (EMPTY if n == "bf3" else SMOOTH) for n in pi3.source.bhs_names},
         pi3.source,
@@ -168,7 +172,7 @@ def test_pushforward_family_through_lifted_projection():
 
 
 def test_pushforward_family_global_integrability():
-    pi3 = geo.lifted_projection(3)
+    pi3 = bmaps.lifted_projection(3)
     fam = IndexFamily.of(
         {n: SMOOTH for n in pi3.source.bhs_names}, pi3.source
     )  # bf3 maps to the interior but has inf 0
@@ -178,7 +182,7 @@ def test_pushforward_family_global_integrability():
 
 
 def test_pushforward_table_is_the_sorted_fold_per_face():
-    pi3 = geo.lifted_projection(3)
+    pi3 = bmaps.lifted_projection(3)
     rng = random.Random(3)
 
     def random_set():
@@ -214,7 +218,7 @@ def test_pushforward_functorial_on_permutations():
         q, q, {("a", "b"): 1, ("b", "c"): 1, ("c", "a"): 1}, fibration_on_faces=True
     )
     fam = IndexFamily.of({"a": S((1, 0)), "b": S((Fraction(1, 2), 1)), "c": SMOOTH.shift(1)}, q)
-    combined = transport.push_forward_family(geo.compose(swap_ab, cycle), fam)
+    combined = transport.push_forward_family(bmaps.compose(swap_ab, cycle), fam)
     staged = transport.push_forward_family(
         cycle, transport.push_forward_family(swap_ab, fam).result
     )
@@ -238,7 +242,7 @@ def test_symbolic_pushforward_contains_all_fitted_terms():
     coeff_sets = xy.sum_with(u_sets)
     assert coeff_sets["ff"] == S((3, 0))
 
-    pushed = transport.push_forward_halfline(geo.halfline_projection(1), coeff_sets)
+    pushed = transport.push_forward_halfline(bmaps.halfline_projection(1), coeff_sets)
     assert pushed.integrability_ok
     assert pushed.result == S((1, 0), (3, 1))
     predicted = pushed.result.shift(-1)
@@ -252,3 +256,51 @@ def test_symbolic_pushforward_contains_all_fitted_terms():
     assert report["contained"], report
     # and the prediction is sharp where it promises a log
     assert abs(fit.coeff(2, 1) - 0.5) < 1e-4
+
+
+# -- the half-line push-forward against the exact Mellin transform -------------------
+#
+# On [0, 1]^k push u = prod_H x_H^(a_H) (1 - x_H)^N dx_H/x_H forward along
+# t = prod_H x_H^(e_H).  Its Mellin transform, int_0^1 t^w (pushed u) dt/t, is
+# prod_H B(a_H + e_H w, N + 1), and B(s, N + 1) = N!/(s (s + 1) ... (s + N)) has a
+# simple pole at each s = 0, -1, ..., -N and no zero.  As int_0^1 t^(z + w)
+# log^p(1/t) dt/t = p!/(w + z)^(p + 1), a pole at w = -z of order m is exactly a
+# term t^z log^(m - 1)(1/t).  A factor with e_H = 0 is the constant B(a_H, N + 1),
+# an integral that converges exactly when a_H > 0: the integrability audit.  The
+# expansion of u at H has the exponents a_H + j, j <= N, only, so the index set
+# {(a_H, 0)} + N0 is exact below the cut min over e_H > 0 of (a_H + N)/e_H.
+
+MELLIN_N = 12
+
+
+def mellin_pole_orders(e, a):
+    """{z: order of the pole of prod_H B(a_H + e_H w, N + 1) at w = -z}."""
+    return Counter((a_h + j) / e_h for e_h, a_h in zip(e, a) if e_h for j in range(MELLIN_N + 1))
+
+
+@st.composite
+def monomial_maps(draw):
+    """(e, a): vanishing orders 0..3, not all 0, and rational a_H, on k <= 4 hypersurfaces."""
+    k = draw(st.integers(1, 4))
+    e = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k).filter(any))
+    a = draw(st.lists(st.builds(Fraction, st.integers(-6, 8), st.integers(1, 4)),
+                      min_size=k, max_size=k))
+    return e, a
+
+
+@settings(max_examples=150, deadline=None)
+@given(monomial_maps())
+def test_halfline_pushforward_has_the_poles_of_the_mellin_transform(case):
+    e, a = case
+    names = tuple(f"H{i + 1}" for i in range(len(e)))
+    corner = geo.model_quadrant(len(e), len(e), names)
+    f = geo.BMapDescriptor.from_table(corner, geo.halfline("t"),
+                                      {(h, "t"): e_h for h, e_h in zip(names, e)},
+                                      fibration_on_faces=True)
+    family = IndexFamily.of({h: S((a_h, 0)) for h, a_h in zip(names, a)}, corner)
+    report = transport.push_forward_halfline(f, family)
+    cut = min((a_h + MELLIN_N) / e_h for e_h, a_h in zip(e, a) if e_h)
+    poles = {(CR(z), p) for z, m in mellin_pole_orders(e, a).items() if z <= cut
+             for p in range(m)}
+    assert {(m.z, m.p) for m in report.result.truncate(cut)} == poles
+    assert report.integrability_ok == all(a_h > 0 for e_h, a_h in zip(e, a) if not e_h)
