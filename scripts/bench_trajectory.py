@@ -52,6 +52,7 @@ COLD_REPEATS = 7
 COLD_START = {
     "--help": ["--help"],
     "space quadrant": ["space", "quadrant", "-k", "2", "-n", "2"],
+    "space blowup": ["space", "blowup", "QUADRANT", "--center", "Hx,Hy", "--name", "ff"],
     "space triple": ["space", "triple"],
     "indexset extunion": ["indexset", "extunion", "SMOOTH", "SMOOTH"],
     "map compose": ["map", "compose", "BLOWDOWN", "QPROJ"],
@@ -111,6 +112,7 @@ def cold_start(*roots: Path) -> list:
         halfline = {"dim": 1, "bhs": ["H"], "faces": [[], ["H"]]}
         contents = {
             "SMOOTH": smooth,
+            "QUADRANT": quadrant,
             "OP": {"coeffs": [["1"], ["1"]]},
             "SQRT2": {"coeffs": [["-2"], ["0"], ["1"]]},
             "DESC": {"order": -1.0, "E_lb": {"generators": []},

@@ -15,6 +15,10 @@ class NotBFibration(HypothesisViolation):
     """Map fails the b-fibration requirements of the push-forward theorem."""
 
 
+class NotLiftable(HypothesisViolation):
+    """A b-map does not lift through a blow-up: the centre pulls back to a non-principal ideal."""
+
+
 class CompositionUndefined(HypothesisViolation):
     """inf E_rb + inf F_lb <= 0: the composition integral diverges."""
 

@@ -2,10 +2,13 @@
 
 A manifold with corners is modeled purely by its face lattice: the named
 boundary hypersurfaces together with the collection of subsets having
-non-empty intersection.  Blowing up a boundary face of codimension >= 2
-produces a new lattice with one extra hypersurface (the front face) and a
-blow-down map recorded as an exponent matrix.  The built-in spaces are the
-blown-up quadrant X2b and the triple space X3b.
+non-empty intersection.  Inside a lattice a face is an int mask, bit i for
+the i-th hypersurface, and names appear only at the boundary (``mask``,
+``faces``, ``proper_faces`` and the JSON form).  Blowing up a boundary
+face of codimension >= 2 produces a new lattice with one extra
+hypersurface (the front face) and a blow-down map recorded as an exponent
+matrix.  The built-in spaces are the blown-up quadrant X2b and the triple
+space X3b.
 
 A b-map between two lattices is stored as its exponent matrix
 ``e(G, H)`` = order of vanishing of (bdf of target H) composed with the map,
@@ -17,69 +20,82 @@ user-defined maps default to False.  The algebra of b-maps (composition,
 induced face maps, the b-fibration check and the built-in projections) is in
 ``bmaps``, so building the spaces compiles none of it.
 """
-import itertools
 from functools import lru_cache
 
 from .errors import BMapError, LatticeError
 from .records import Record, _set
 
 
-def _face(names) -> frozenset:
+def _mask(bhs_names: tuple, names):
+    """The mask of a collection of bhs names, or None if one is not in ``bhs_names``."""
     if isinstance(names, str):
         raise TypeError("a face is a collection of bhs names, not a single string")
-    return frozenset(str(n) for n in names)
+    names = set(names)
+    return sum([1 << bhs_names.index(n) for n in names]) if names <= set(bhs_names) else None
 
 
 class FaceLattice(Record):
     """Named boundary hypersurfaces plus the poset of their intersections.
 
-    ``faces`` contains the empty set (the whole space) and is closed under
-    taking subsets.  For every lattice built here the codimension of a face
-    equals its cardinality; this is validated at construction and used as the
+    A face is an int mask, bit i standing for ``bhs_names[i]``.  ``masks``
+    contains 0 (the whole space) and is closed under taking subsets.  For
+    every lattice built here the codimension of a face equals its number of
+    hypersurfaces; this is validated at construction and used as the
     recorded codimension.
     """
 
-    __slots__ = ("dimension", "bhs_names", "faces")
+    __slots__ = ("dimension", "bhs_names", "masks")
 
-    def __init__(self, dimension: int, bhs_names: tuple, faces: frozenset):
+    def __init__(self, dimension: int, bhs_names: tuple, masks: frozenset):
         if type(dimension) is not int:
             raise LatticeError(f"dimension must be an integer, got {dimension!r}")
         for name in bhs_names:  # --names, --center and --face split on ","
             if not (isinstance(name, str) and name and "," not in name):
                 raise LatticeError(f"bhs name {name!r} must be a non-empty string without ','")
-        names = set(bhs_names)
-        if len(names) != len(bhs_names):
+        if len(set(bhs_names)) != len(bhs_names):
             raise LatticeError("duplicate boundary hypersurface names")
-        if frozenset() not in faces:
+        if 0 not in masks:
             raise LatticeError("the empty face (whole space) must be present")
-        for name in bhs_names:
-            if frozenset({name}) not in faces:
+        for i, name in enumerate(bhs_names):
+            if 1 << i not in masks:
                 raise LatticeError(f"singleton {[name]} must be a face")
-        for face in faces:
-            if not face <= names:
-                raise LatticeError(f"face {sorted(face)} uses unknown bhs names")
-            if len(face) > dimension:
-                raise LatticeError(
-                    f"face {sorted(face)} has codimension {len(face)} > dimension {dimension}"
-                )
-            for name in face:
-                if face - {name} not in faces:
-                    raise LatticeError("face set is not closed under subsets")
         _set(self, "dimension", dimension)
         _set(self, "bhs_names", bhs_names)
-        _set(self, "faces", faces)
+        _set(self, "masks", masks)
+        k = len(bhs_names)
+        for m in masks:
+            if not 0 <= m < 1 << k:
+                raise LatticeError(f"face mask {m!r} has bits beyond the {k} bhs")
+            if m.bit_count() > dimension:
+                raise LatticeError(f"face {sorted(self.names_of(m))} has codimension "
+                                   f"{m.bit_count()} > dimension {dimension}")
+            bits = m
+            while bits:  # each face less one of its bits, lowest first
+                if m ^ (bits & -bits) not in masks:
+                    raise LatticeError("face set is not closed under subsets")
+                bits &= bits - 1
+
+    @property
+    def faces(self) -> frozenset:
+        """The faces as frozensets of bhs names."""
+        return frozenset(map(self.names_of, self.masks))
+
+    def names_of(self, m: int) -> frozenset:
+        return frozenset([name for i, name in enumerate(self.bhs_names) if m >> i & 1])
+
+    def mask(self, names):
+        return _mask(self.bhs_names, names)
 
     def codim(self, names) -> int:
-        face = _face(names)
-        if face not in self.faces:
-            raise LatticeError(f"{sorted(face)} is not a face of this lattice")
-        return len(face)
+        m = self.mask(names)
+        if m not in self.masks:
+            raise LatticeError(f"{sorted(set(names))} is not a face of this lattice")
+        return m.bit_count()
 
     def proper_faces(self):
         """All non-empty faces, sorted by (codim, member names)."""
-        return tuple(
-            sorted((f for f in self.faces if f), key=lambda f: (len(f), tuple(sorted(f))))
-        )
+        return tuple(sorted((self.names_of(m) for m in self.masks if m),
+                            key=lambda f: (len(f), tuple(sorted(f)))))
 
     def bhs_index(self, name: str) -> int:
         return self.bhs_names.index(name)
@@ -93,11 +109,15 @@ class FaceLattice(Record):
 
     @classmethod
     def from_jsonable(cls, data: dict) -> "FaceLattice":
-        return cls(
-            dimension=data["dim"],
-            bhs_names=tuple(data["bhs"]),
-            faces=frozenset(frozenset(f) for f in data["faces"]),
-        )
+        names, faces = data["bhs"], data["faces"]
+        if not all(type(x) is list for x in [names, faces, *faces]):
+            raise LatticeError("bhs, faces and each face must be lists")
+        names = tuple(names)
+        masks = [_mask(names, face) for face in faces]
+        for face, m in zip(faces, masks):
+            if m is None:
+                raise LatticeError(f"face {sorted(set(face))} uses unknown bhs names")
+        return cls(data["dim"], names, frozenset(masks))
 
 
 #: Most faces ``model_quadrant`` will list; its 2^k faces exceed this from k = 14.
@@ -115,14 +135,13 @@ def model_quadrant(k: int, n: int, names=None) -> FaceLattice:
         raise LatticeError(f"k={k} gives 2^{k} faces, more than the budget of {_FACE_BUDGET}")
     if names is None:
         names = tuple([f"H{i + 1}" for i in range(k)])
+    elif isinstance(names, str):
+        raise LatticeError("names must be a collection of bhs names, not a single string")
     else:
         names = tuple(names)
         if len(names) != k:
             raise LatticeError("number of names must equal k")
-    faces = frozenset(
-        frozenset(c) for r in range(k + 1) for c in itertools.combinations(names, r)
-    )
-    return FaceLattice(dimension=n, bhs_names=names, faces=faces)
+    return FaceLattice(dimension=n, bhs_names=names, masks=frozenset(range(1 << k)))
 
 
 def halfline(name: str = "H") -> FaceLattice:
@@ -158,17 +177,13 @@ class BMapDescriptor(Record):
 
     @classmethod
     def from_table(cls, source, target, table, fibration_on_faces=False):
-        """Build from a {(source bhs, target bhs): exponent} mapping."""
-        rows = []
-        for g in source.bhs_names:
-            rows.append(tuple([int(table.get((g, h), 0)) for h in target.bhs_names]))
-        return cls(source, target, tuple(rows), fibration_on_faces)
-
-    @classmethod
-    def identity(cls, lattice: FaceLattice) -> "BMapDescriptor":
-        n = len(lattice.bhs_names)
-        rows = tuple([tuple([1 if i == j else 0 for j in range(n)]) for i in range(n)])
-        return cls(lattice, lattice, rows, fibration_on_faces=True)
+        """Build from a {(source bhs, target bhs): exponent} mapping; absent keys are 0."""
+        rows = [[0] * len(target.bhs_names) for _ in source.bhs_names]
+        for (g, h), v in table.items():
+            if g not in source.bhs_names or h not in target.bhs_names:
+                raise BMapError(f"table key {(g, h)!r} names no source or target hypersurface")
+            rows[source.bhs_index(g)][target.bhs_index(h)] = int(v)
+        return cls(source, target, tuple([tuple(row) for row in rows]), fibration_on_faces)
 
     def e(self, g: str, h: str) -> int:
         return self.exponents[self.source.bhs_index(g)][self.target.bhs_index(h)]
@@ -204,7 +219,8 @@ class BlowupRecord(Record):
 def blow_up_face(base: FaceLattice, center, name: str) -> BlowupRecord:
     """Blow up a boundary face of codimension >= 2.
 
-    Face rules for the result lattice W (c = the center's bhs set):
+    Face rules for the result lattice W (c = the center's bhs set; in masks,
+    "T contains c" is ``t & c == c``):
 
     * a subset T of old bhs is a face of W iff T is a face of the base and
       T does not contain c (the lifted faces miss the blown-up locus);
@@ -221,33 +237,25 @@ def blow_up_face(base: FaceLattice, center, name: str) -> BlowupRecord:
     Blow-down exponents: every lifted hypersurface maps to its image with
     order 1; the front face maps with order 1 into every center member.
     """
-    center = _face(center)
-    if center not in base.faces:
-        raise LatticeError(f"center {sorted(center)} is not a face of the base lattice")
-    if len(center) < 2:
+    c = base.mask(center)
+    if c not in base.masks:
+        raise LatticeError(f"center {sorted(set(center))} is not a face of the base lattice")
+    if c.bit_count() < 2:
         raise LatticeError("blow-up center must have codimension >= 2")
     if name in base.bhs_names:
         raise LatticeError(f"front face name {name!r} already used")
 
-    lifted = {t for t in base.faces if not center <= t}
-    with_ff = {
-        t | {name}
-        for t in base.faces
-        if not center <= t and (t | center) in base.faces
-    }
-    result = FaceLattice(
-        dimension=base.dimension,
-        bhs_names=base.bhs_names + (name,),
-        faces=frozenset(lifted | with_ff),
-    )
-    table = {(g, g): 1 for g in base.bhs_names}
-    for h in center:
-        table[(name, h)] = 1
+    k = len(base.bhs_names)
+    lifted = [t for t in base.masks if t & c != c]
+    with_ff = [t | 1 << k for t in lifted if t | c in base.masks]
+    result = FaceLattice(base.dimension, base.bhs_names + (name,), frozenset(lifted + with_ff))
+    # row by row, the mask of the base hypersurfaces each one maps into
+    rows = tuple([tuple([m >> j & 1 for j in range(k)]) for m in [1 << i for i in range(k)] + [c]])
     # Blow-downs restrict to fibrations over open faces (each lifted face maps
     # diffeomorphically, the front face maps to a constant); what fails for
     # them is the codimension condition, which bmaps.check_b_fibration computes.
-    blowdown = BMapDescriptor.from_table(result, base, table, fibration_on_faces=True)
-    return BlowupRecord(base, center, result, name, blowdown)
+    blowdown = BMapDescriptor(result, base, rows, fibration_on_faces=True)
+    return BlowupRecord(base, base.names_of(c), result, name, blowdown)
 
 
 # ---------------------------------------------------------------------------
@@ -262,14 +270,13 @@ def x2b() -> BlowupRecord:
     The base quadrant has hypersurfaces Hx = {x=0} and Hy = {y=0}; in the
     blown-up lattice the lift of Hx is called lb, the lift of Hy is rb, and
     the front face is ff.  The lattice is the blow-up of a quadrant named
-    (lb, rb); the blow-down to (Hx, Hy) is tabulated: lb -> Hx, rb -> Hy,
-    ff -> both.
+    (lb, rb), and its blow-down, read onto (Hx, Hy), sends lb -> Hx, rb -> Hy
+    and ff -> both.
     """
     base = model_quadrant(2, 2, ("Hx", "Hy"))
-    result = blow_up_face(model_quadrant(2, 2, ("lb", "rb")), {"lb", "rb"}, "ff").result
-    table = {("lb", "Hx"): 1, ("rb", "Hy"): 1, ("ff", "Hx"): 1, ("ff", "Hy"): 1}
-    blowdown = BMapDescriptor.from_table(result, base, table, fibration_on_faces=True)
-    return BlowupRecord(base, frozenset({"Hx", "Hy"}), result, "ff", blowdown)
+    named = blow_up_face(model_quadrant(2, 2, ("lb", "rb")), {"lb", "rb"}, "ff")
+    blowdown = BMapDescriptor(named.result, base, named.blowdown.exponents, fibration_on_faces=True)
+    return BlowupRecord(base, frozenset({"Hx", "Hy"}), named.result, "ff", blowdown)
 
 
 def x2b_lattice() -> FaceLattice:

@@ -614,6 +614,7 @@ def test_malformed_input_is_exit_1(tmp_path, capsys):
     # values are taken as written: each file below once read as a valid object
     proj = bmaps.halfline_projection(1).to_jsonable()  # a b-fibration with e = [[1], [0], [1]]
     check = ["map", "check-bfibration", "FILE"]
+    blowup_ab = ["space", "blowup", "FILE", "--center", "a,b", "--name", "ff"]
     coerced = {
         "e-float.json": ({**proj, "e": [[1.7], [0], [1]]}, check),
         "e-str.json": ({**proj, "e": [["1"], [0], [1]]}, check),
@@ -621,6 +622,15 @@ def test_malformed_input_is_exit_1(tmp_path, capsys):
         "fibration-str.json": ({**proj, "fibration_faces": "false"}, check),
         "dim-float.json": ({**geo.model_quadrant(2, 2).to_jsonable(), "dim": 2.9},
                            ["space", "blowup", "FILE", "--center", "H1,H2", "--name", "F"]),
+        # a string or a dict where a list belongs, read as its letters or keys
+        "bhs-str.json": ({"dim": 2, "bhs": "ab", "faces": [[], ["a"], ["b"], "ab"]}, blowup_ab),
+        "face-str.json": ({"dim": 2, "bhs": ["a", "b"], "faces": [[], ["a"], ["b"], "ab"]},
+                          blowup_ab),
+        "faces-dict.json": ({"dim": 2, "bhs": ["a", "b"],
+                             "faces": {"": 0, "a": 0, "b": 0, "ab": 0}}, blowup_ab),
+        "source-bhs-str.json": ({"source": {"dim": 1, "bhs": "H", "faces": [[], "H"]},
+                                 "target": geo.halfline().to_jsonable(), "e": [[1]],
+                                 "fibration_faces": True}, check),
         "p-bool.json": ({"generators": [{"re": "0", "p": True}]}, ["indexset", "inf", "FILE"]),
         "order-nan.json": ({"order": "nan", "E_lb": {"generators": []},
                             "E_rb": SMOOTH.shift(1).to_jsonable()},

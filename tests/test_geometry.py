@@ -1,11 +1,13 @@
 import json
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from bcalc import bmaps
 from bcalc import geometry as geo
-from bcalc.errors import BMapError, LatticeError
+from bcalc.errors import BMapError, LatticeError, NotLiftable
 
 
 # -- model quadrants -----------------------------------------------------------
@@ -37,6 +39,8 @@ def test_quadrant_argument_errors():
         geo.model_quadrant(-1, 2)
     with pytest.raises(LatticeError):
         geo.model_quadrant(2, 2, ("a",))
+    with pytest.raises(LatticeError):  # a string is not read as its letters
+        geo.model_quadrant(2, 2, "ab")
 
 
 def test_quadrant_face_budget():
@@ -47,14 +51,11 @@ def test_quadrant_face_budget():
 
 def test_lattice_validation():
     with pytest.raises(LatticeError):
-        geo.FaceLattice(2, ("a", "a"), frozenset({frozenset()}))
+        geo.FaceLattice(2, ("a", "a"), frozenset({0}))
     with pytest.raises(LatticeError):  # missing singleton
-        geo.FaceLattice(2, ("a",), frozenset({frozenset()}))
-    with pytest.raises(LatticeError):  # not downward closed
-        geo.FaceLattice(
-            2, ("a", "b"),
-            frozenset({frozenset(), frozenset({"a"}), frozenset({"a", "b"})}),
-        )
+        geo.FaceLattice(2, ("a",), frozenset({0}))
+    with pytest.raises(LatticeError):  # not downward closed: {a, b} without {b}
+        geo.FaceLattice(2, ("a", "b"), frozenset({0, 0b01, 0b11}))
 
 
 # -- blow-ups ---------------------------------------------------------------------
@@ -144,9 +145,21 @@ def test_exponent_matrix_validation():
         geo.BMapDescriptor(q, q, ((1, -1), (0, 1)))
 
 
+def identity(lattice):
+    return geo.BMapDescriptor.from_table(lattice, lattice, {(g, g): 1 for g in lattice.bhs_names},
+                                         fibration_on_faces=True)
+
+
+def test_from_table_refuses_a_key_that_names_no_hypersurface():
+    q = geo.model_quadrant(2, 2)
+    for key in (("H9", "H"), ("H1", "G")):
+        with pytest.raises(BMapError, match="names no source or target hypersurface"):
+            geo.BMapDescriptor.from_table(q, geo.halfline(), {key: 1})
+
+
 def test_compose_with_identity():
     bd = geo.x2b_blowdown()
-    ident = geo.BMapDescriptor.identity(bd.target)
+    ident = identity(bd.target)
     assert bmaps.compose(bd, ident).exponents == bd.exponents
 
 
@@ -196,7 +209,7 @@ def test_bfibration_reports():
     assert not down.codim_ok
     assert down.violating_faces == ("ff",)
     assert not down.verdict
-    ident = geo.BMapDescriptor.identity(geo.x2b_lattice())
+    ident = identity(geo.x2b_lattice())
     assert bmaps.check_b_fibration(ident).verdict
     for i in (1, 2, 3):
         assert bmaps.check_b_fibration(bmaps.lifted_projection(i)).verdict
@@ -261,6 +274,56 @@ def test_compose_flag_needs_both_flags_and_codim():
     assert not bmaps.compose(pi3, bd).fibration_on_faces
     proj1 = bmaps.halfline_projection(1)
     assert bmaps.compose(pi3, proj1).fibration_on_faces
+
+
+# -- lifts through blow-ups ------------------------------------------------------
+
+
+def test_the_lift_of_x2y_xy2_is_refused_at_the_corner():
+    # (x, y) -> (x^2 y, x y^2): on the corner the centre pulls back to (x^2 y, x y^2),
+    # which neither generator divides
+    q = geo.model_quadrant(2, 2, ("Hx", "Hy"))
+    f = geo.BMapDescriptor(q, geo.x2b().base, ((2, 1), (1, 2)))
+    with pytest.raises(NotLiftable, match=r"^\['Hx', 'Hy'\]: no member of the centre"):
+        bmaps.lift(f, geo.x2b())
+    # the blow-down lifts to the identity of X2b
+    assert bmaps.lift(geo.x2b_blowdown(), geo.x2b()).exponents == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    with pytest.raises(BMapError, match="does not map into the base of the blow-up"):
+        bmaps.lift(bmaps.halfline_projection(1), geo.x2b())
+
+
+@st.composite
+def maps_and_blowups(draw):
+    """A monomial map between model corners (k <= 4, exponents 0..3) and a
+    blow-up of its target at a centre of codimension >= 2."""
+    k, n = draw(st.integers(1, 4)), draw(st.integers(2, 4))
+    source = geo.model_quadrant(k, k, tuple(f"S{i}" for i in range(k)))
+    target = geo.model_quadrant(n, n, tuple(f"T{j}" for j in range(n)))
+    rows = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), min_size=k, max_size=k))
+    centre = draw(st.sets(st.sampled_from(target.bhs_names), min_size=2))
+    return geo.BMapDescriptor(source, target, tuple(rows)), geo.blow_up_face(target, centre, "F")
+
+
+@settings(max_examples=200, deadline=None)
+@given(maps_and_blowups())
+def test_a_lift_is_refused_at_a_face_with_no_least_centre_member_or_commutes(case):
+    f, rec = case
+
+    def has_least(face):
+        return any(all(f.e(g, h) <= f.e(g, c) for g in face for c in rec.center)
+                   for h in rec.center)
+
+    refusing = [face for face in f.source.faces if not has_least(face)]
+    try:
+        lifted = bmaps.lift(f, rec)
+    except NotLiftable as exc:  # named: a face with no least member, each of its subfaces with one
+        least = [face for face in refusing if all(has_least(face - {g}) for g in face)]
+        assert any(str(exc).startswith(f"{sorted(face)}: ") for face in least), (exc, least)
+        return
+    assert not refusing
+    assert bmaps.compose(lifted, rec.blowdown).exponents == f.exponents
+    for face in f.source.faces:  # raises if an image is not a face of the blown-up target
+        bmaps.induced_face_map(lifted, face)
 
 
 def test_geometry_hands_out_only_the_seven_looked_up_b_map_names():

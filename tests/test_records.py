@@ -20,8 +20,8 @@ from bcalc.rationals import ComplexRational as CR
 from bcalc.records import Record
 from bcalc.transport import TransportReport
 
-POINT = geo.FaceLattice(0, (), frozenset({frozenset()}))
-POINT_REPR = "FaceLattice(dimension=0, bhs_names=(), faces=frozenset({frozenset()}))"
+POINT = geo.FaceLattice(0, (), frozenset({0}))
+POINT_REPR = "FaceLattice(dimension=0, bhs_names=(), masks=frozenset({0}))"
 
 
 def _bmap(fibration=False):
@@ -57,7 +57,7 @@ CASES = {
         "IndexFamily(sets=(('H', IndexSet(generators=frozenset({IndexEntry(z=ComplexRational("
         "a=0, b=0, d=1), p=0)}))),))"),
     "FaceLattice": (
-        lambda: POINT, lambda: geo.FaceLattice(1, (), frozenset({frozenset()})), POINT_REPR),
+        lambda: POINT, lambda: geo.FaceLattice(1, (), frozenset({0})), POINT_REPR),
     "BMapDescriptor": (
         _bmap, lambda: _bmap(True),
         f"BMapDescriptor(source={POINT_REPR}, target={POINT_REPR}, exponents=(), "
@@ -165,11 +165,13 @@ def test_constructors_refuse_with_the_dataclass_messages():
     with pytest.raises(ValueError, match=r"^log power must be a non-negative integer, got True$"):
         IndexEntry(CR(), True)
     with pytest.raises(LatticeError, match=r"^duplicate boundary hypersurface names$"):
-        geo.FaceLattice(2, ("a", "a"), frozenset({frozenset()}))
+        geo.FaceLattice(2, ("a", "a"), frozenset({0}))
     with pytest.raises(LatticeError, match=r"^face \['b'\] uses unknown bhs names$"):
-        geo.FaceLattice(2, ("a",), frozenset({frozenset(), frozenset("a"), frozenset("b")}))
+        geo.FaceLattice.from_jsonable({"dim": 2, "bhs": ["a"], "faces": [[], ["a"], ["b"]]})
+    with pytest.raises(LatticeError, match=r"^face mask 2 has bits beyond the 1 bhs$"):
+        geo.FaceLattice(2, ("a",), frozenset({0, 1, 2}))
     with pytest.raises(LatticeError, match=r"^dimension must be an integer, got 1.0$"):
-        geo.FaceLattice(1.0, (), frozenset({frozenset()}))
+        geo.FaceLattice(1.0, (), frozenset({0}))
     q = geo.model_quadrant(2, 2)
     with pytest.raises(BMapError, match=r"^exponent matrix has wrong number of rows$"):
         geo.BMapDescriptor(q, q, ((1, 0),))

@@ -23,6 +23,11 @@ def S(*entries):
 LOG_SET = SMOOTH.extended_union(SMOOTH)
 
 
+def identity(lattice):
+    return geo.BMapDescriptor.from_table(lattice, lattice, {(g, g): 1 for g in lattice.bhs_names},
+                                         fibration_on_faces=True)
+
+
 # -- pull-back -----------------------------------------------------------------
 
 
@@ -47,7 +52,7 @@ def test_pullback_through_second_factor_projection():
 
 def test_pullback_identity():
     lat = geo.x2b_lattice()
-    ident = geo.BMapDescriptor.identity(lat)
+    ident = identity(lat)
     fam = IndexFamily.of({"lb": EMPTY, "rb": S((1, 1)), "ff": SMOOTH}, lat)
     assert transport.pull_back_family(ident, fam) == fam
 
@@ -146,7 +151,7 @@ def test_face_table_records_every_face():
 
 def test_pushforward_family_identity():
     lat = geo.x2b_lattice()
-    ident = geo.BMapDescriptor.identity(lat)
+    ident = identity(lat)
     fam = IndexFamily.of({"lb": S((1, 0)), "rb": S((2, 1)), "ff": SMOOTH}, lat)
     report = transport.push_forward_family(ident, fam)
     assert report.result == fam
@@ -304,3 +309,44 @@ def test_halfline_pushforward_has_the_poles_of_the_mellin_transform(case):
              for p in range(m)}
     assert {(m.z, m.p) for m in report.result.truncate(cut)} == poles
     assert report.integrability_ok == all(a_h > 0 for e_h, a_h in zip(e, a) if not e_h)
+
+
+@st.composite
+def monomial_chains(draw):
+    """(rows, e, a): a monomial map X -> Y of model corners (k, m <= 4, exponents 0..3),
+    vanishing orders 0..3 of Y -> half-line, the composite not identically 0 at the
+    boundary, and rational a_H on Y."""
+    k, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rows = draw(st.lists(st.tuples(*[st.integers(0, 3)] * m), min_size=k, max_size=k))
+    e = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m)
+             .filter(lambda e: any(sum(r * e_h for r, e_h in zip(row, e)) for row in rows)))
+    a = draw(st.lists(st.builds(Fraction, st.integers(-6, 8), st.integers(1, 4)),
+                      min_size=m, max_size=m))
+    return rows, e, a
+
+
+@settings(max_examples=150, deadline=None)
+@given(monomial_chains())
+def test_pullback_then_pushforward_has_the_poles_of_the_mellin_transform(case):
+    # pulled back along f, prod_H y_H^(a_H) (1 - y_H)^N is prod_G x_G^(b_G), with
+    # b_G = sum_H e(G, H) a_H, times a smooth factor: it has the index sets of
+    # prod_G x_G^(b_G) (1 - x_G)^N, whose push-forward along the composite
+    # t = prod_G x_G^(e'_G) has the poles of prod_G B(b_G + e'_G w, N + 1)
+    rows, e, a = case
+    xs = tuple(f"G{i + 1}" for i in range(len(rows)))
+    ys = tuple(f"H{j + 1}" for j in range(len(e)))
+    x, y = geo.model_quadrant(len(xs), len(xs), xs), geo.model_quadrant(len(ys), len(ys), ys)
+    f = geo.BMapDescriptor(x, y, tuple(rows))
+    g = geo.BMapDescriptor.from_table(y, geo.halfline("t"), dict(zip([(h, "t") for h in ys], e)),
+                                      fibration_on_faces=True)
+    family = IndexFamily.of({h: S((a_h, 0)) for h, a_h in zip(ys, a)}, y)
+    pulled = transport.pull_back_family(f, family)
+    composite = bmaps.compose(f, g)
+    e_x = [row[0] for row in composite.exponents]
+    b = [sum(r * a_h for r, a_h in zip(row, a)) for row in rows]
+    report = transport.push_forward_halfline(composite, pulled)
+    cut = min((b_g + MELLIN_N) / e_g for e_g, b_g in zip(e_x, b) if e_g)
+    poles = {(CR(z), p) for z, m in mellin_pole_orders(e_x, b).items() if z <= cut
+             for p in range(m)}
+    assert {(m.z, m.p) for m in report.result.truncate(cut)} == poles
+    assert report.integrability_ok == all(b_g > 0 for e_g, b_g in zip(e_x, b) if not e_g)
